@@ -7,9 +7,10 @@ diagnostics}, serialized with sorted keys so that parse-and-redump
 round-trips exactly.
 
 Exit codes: 0 success / verification passed, 1 a verified identity failed
-(an implementation bug, since the underlying facts are theorems), 2 usage
-or input error, 3 resource cap exceeded.  The group-order cap can be raised
-through the BURNSIDE_GROUP_CAP environment variable.
+or a theorem check raised TheoremViolation (an implementation bug, since
+the underlying facts are theorems), 2 usage or input error, 3 resource cap
+exceeded.  The group-order cap can be raised through the BURNSIDE_GROUP_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .engine import (
     verify_lemma74,
 )
 from .marks import mark_matrix, marks_vector_order, verify_injectivity
-from .partitions import enumerate_partitions, format_partition, parse_partition
+from .partitions import TheoremViolation, enumerate_partitions, format_partition, parse_partition
 from .schur import (
     basis_element,
     closed_lambda,
@@ -398,6 +399,9 @@ def main(argv=None) -> int:
             {"kind": "cap", "message": str(exc), "cap": exc.cap, "which": exc.kind},
         )
         return 3
+    except TheoremViolation as exc:
+        _emit(fmt, 1, [f"theorem violated: {exc}"], {"kind": "theorem", "message": str(exc)})
+        return 1
     except GroupFileError as exc:
         _emit(fmt, 2, [f"group file error: {exc}"], {"kind": "usage", "message": str(exc)})
         return 2

@@ -3,13 +3,21 @@
 Everything here is computed from first principles on explicit objects:
 groups are full element sets, actions are verified point maps, orbits come
 from breadth-first search, and isomorphism classes of transitive G-sets are
-identified by exhaustive conjugacy search over stabilizers.  The point is
-to have an oracle whose only inputs are the definitions, so that the closed
-formulas elsewhere in the package can be checked against it.
+identified by conjugacy search over stabilizers.  The point is to have an
+oracle whose only inputs are the definitions, so that the closed formulas
+elsewhere in the package can be checked against it.
 
-Scale is deliberately small (desk scale): group orders are capped, point
-counts are capped, and every cap violation raises a structured error naming
-the offending construction instead of truncating silently.
+The hot paths run on integer tables.  A group element's index is its
+position in the group's sorted element tuple.  A verified G-set calls its
+action function once per (element, point) to build one point-index table
+per group element, checks the action axioms on those tables, and keeps
+them (|G|·|X| entries), so every later application is a list lookup.
+Products of validated permutations skip the bijection check, which only
+outside input needs.
+
+Scale is deliberately small (desk scale): group orders, point counts and
+table sizes are capped, and every cap violation raises a structured error
+naming the offending construction instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -20,12 +28,14 @@ import re
 from functools import lru_cache
 from math import factorial, prod
 
-from .partitions import Partition, enumerate_partitions, multinomial, pad
+from .partitions import Partition, TheoremViolation, enumerate_partitions, multinomial
 from .schur import SchurElement
 
 DEFAULT_GROUP_CAP = 10080
 GROUP_CAP_ENV = "BURNSIDE_GROUP_CAP"
 DEFAULT_POINT_CAP = 200_000
+# a verified G-set stores |G|·|X| table entries (8 bytes each)
+TABLE_CAP = 30_000_000
 
 
 def group_cap_default() -> int:
@@ -74,6 +84,14 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> Permutation:
+        """Wrap an image tuple already known to be a bijection, such as a
+        product or inverse of validated permutations."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -103,18 +121,16 @@ class Permutation:
         return self.images[point - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        im = self.images
-        return Permutation(im[b - 1] for b in other.images)
+        im, om = self.images, other.images
+        if len(im) != len(om):
+            raise ValueError(f"degree mismatch: {len(im)} vs {len(om)}")
+        return Permutation._trusted(tuple([im[b - 1] for b in om]))
 
     def inverse(self) -> Permutation:
         inv = [0] * self.degree
         for k, v in enumerate(self.images):
             inv[v - 1] = k + 1
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its
@@ -229,7 +245,8 @@ class PermGroup:
     stabilizer fingerprints, coset spaces, pairwise class products).
 
     Construct through group_closure or the named constructors; the direct
-    constructor trusts its input to be closed.
+    constructor trusts its input to be closed, and to be generated by
+    `generators` when they are given.
     """
 
     def __init__(self, degree: int, elements, generators=None):
@@ -241,12 +258,11 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"element degree {g.degree} != group degree {degree}")
         self.identity = Permutation.identity(degree)
-        if self.identity not in set(self.elements):
-            raise ValueError("element set lacks the identity")
         self._index = {g: k for k, g in enumerate(self.elements)}
+        if self.identity not in self._index:
+            raise ValueError("element set lacks the identity")
         self._gens = tuple(generators) if generators is not None else None
         self._words: dict[Permutation, tuple[int, ...]] | None = None
-        self._inverse_index: list[int] | None = None
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
         self._coset_cache: dict[tuple[int, ...], GSet] = {}
         self._class_product_cache: dict[tuple, dict] = {}
@@ -278,28 +294,11 @@ class PermGroup:
     def index_of(self, g: Permutation) -> int:
         return self._index[g]
 
-    def inverse_index(self, k: int) -> int:
-        if self._inverse_index is None:
-            inv = [0] * self.order
-            for i, g in enumerate(self.elements):
-                inv[i] = self._index[g.inverse()]
-            self._inverse_index = inv
-        return self._inverse_index[k]
-
     def generators(self) -> tuple[Permutation, ...]:
-        """A small generating set: greedy sweep in element order, adding an
-        element whenever it is not generated by those already kept."""
-        self._ensure_words()
-        return self._gens
-
-    def word(self, g: Permutation) -> tuple[int, ...]:
-        """g as a product of generators, left to right, by generator index."""
-        self._ensure_words()
-        return self._words[g]
-
-    def _ensure_words(self):
-        if self._words is not None:
-            return
+        """The generators the group was closed from; for a group built by
+        the direct constructor without them, a greedy sweep in element
+        order that keeps an element whenever it is not generated by those
+        already kept."""
         if self._gens is None:
             gens: list[Permutation] = []
             known = {self.identity}
@@ -308,28 +307,37 @@ class PermGroup:
                     gens.append(g)
                     known = _closure_set(known | {g}, gens)
             self._gens = tuple(gens)
-        words = {self.identity: ()}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for gi, s in enumerate(self._gens):
-                    new = cur * s
-                    if new not in words:
-                        words[new] = words[cur] + (gi,)
-                        nxt.append(new)
-            frontier = nxt
-        if len(words) != self.order:
-            raise ValueError("generators do not generate the whole group")
-        self._words = words
+        return self._gens
 
-    def subgroup_indices(self, elements) -> frozenset:
-        return frozenset(self._index[g] for g in elements)
+    def word(self, g: Permutation) -> tuple[int, ...]:
+        """g as a product of generators, left to right, by generator index."""
+        if self._words is None:
+            gens = self.generators()
+            words = {self.identity: ()}
+            frontier = [self.identity]
+            while frontier:
+                nxt = []
+                for cur in frontier:
+                    for gi, s in enumerate(gens):
+                        new = cur * s
+                        if new not in words:
+                            words[new] = words[cur] + (gi,)
+                            nxt.append(new)
+                frontier = nxt
+            if len(words) != self.order:
+                raise ValueError("generators do not generate the whole group")
+            self._words = words
+        return self._words[g]
 
     def canonical_key(self, subgroup_elements) -> tuple[int, ...]:
         """Conjugation-invariant fingerprint of a subgroup: the lexicographic
         minimum, over all conjugates, of the sorted element-index tuple.
-        The full conjugation sweep caches the key for every conjugate seen.
+
+        The conjugates are found as the orbit of the subgroup under
+        conjugation by the generators, which is its whole conjugacy class
+        because the generators generate the group.  That costs about
+        (number of conjugates)·|generators|·|H| products instead of
+        |G|·|H|.  The key is cached for every conjugate.
         """
         members = frozenset(subgroup_elements)
         hit = self._key_cache.get(members)
@@ -343,15 +351,17 @@ class PermGroup:
             key = tuple(range(self.order))
             self._key_cache[members] = key
             return key
-        best = None
-        conjugates = []
-        for g in self.elements:
-            ginv = g.inverse()
-            conj = frozenset(g * h * ginv for h in members)
-            conjugates.append(conj)
-            fingerprint = tuple(sorted(self._index[h] for h in conj))
-            if best is None or fingerprint < best:
-                best = fingerprint
+        pairs = [(s, s.inverse()) for s in self.generators()]
+        conjugates = [members]
+        seen = {members}
+        for conj in conjugates:
+            for s, sinv in pairs:
+                nxt = frozenset([s * h * sinv for h in conj])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    conjugates.append(nxt)
+        index = self._index
+        best = min(tuple(sorted([index[h] for h in conj])) for conj in conjugates)
         for conj in conjugates:
             self._key_cache[conj] = best
         return best
@@ -364,14 +374,13 @@ class PermGroup:
         if hit is not None:
             return hit
         members = [self.elements[i] for i in key]
-        member_set = set(members)
         coset_of = [-1] * self.order
         points = []
         for i, g in enumerate(self.elements):
             if coset_of[i] >= 0:
                 continue
             cid = len(points)
-            indices = sorted(self._index[g * h] for h in member_set)
+            indices = sorted(self._index[g * h] for h in members)
             for j in indices:
                 coset_of[j] = cid
             points.append(frozenset(indices))
@@ -443,27 +452,22 @@ def group_closure(generators, cap: int | None = None, degree: int | None = None)
                 f"inconsistent generator degrees: {g.degree} vs {degree}"
             )
     identity = Permutation.identity(degree)
-    words = {identity: ()}
+    seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for cur in frontier:
-            for gi, s in enumerate(generators):
+            for s in generators:
                 new = cur * s
-                if new not in words:
-                    if len(words) + 1 > cap:
+                if new not in seen:
+                    if len(seen) + 1 > cap:
                         raise CapExceeded(
                             "group-order", cap, f"closure of {len(generators)} generators"
                         )
-                    words[new] = words[cur] + (gi,)
+                    seen.add(new)
                     nxt.append(new)
         frontier = nxt
-    group = PermGroup(degree, words.keys(), generators=generators or None)
-    group._words = {g: words[g] for g in group.elements}
-    if group._gens is None:
-        group._gens = ()
-        group._words = {identity: ()}
-    return group
+    return PermGroup(degree, seen, generators=generators)
 
 
 @lru_cache(maxsize=None)
@@ -511,11 +515,16 @@ def young_subgroup(i: int, n: int) -> PermGroup:
 
 
 class GSet:
-    """A finite G-set: an indexed point list plus a verified action.
+    """A finite G-set: an indexed point list plus an action.
 
-    Single-point application goes through ``act``; orbit searches use the
-    eagerly built generator tables; full per-element tables are composed
-    lazily from generator tables along the group's word tree and cached.
+    A verified G-set (``from_point_action`` with ``verify=True``) holds one
+    point-index table per group element, |G|·|X| entries in all, built
+    while checking the action axioms; ``act``, ``act_index`` and ``table``
+    read them.  Unverified composites (products, disjoint unions,
+    restrictions) stay lazy and call their action function, which reads
+    the tables of their verified components; a product's point count is
+    the product of its factors', so tabulating it would cost more than it
+    saves.
     """
 
     def __init__(self, group: PermGroup, points, act_fn, label: str = "gset"):
@@ -526,8 +535,8 @@ class GSet:
         if len(self._index) != len(self.points):
             raise ValueError(f"duplicate points in {label}")
         self._act_fn = act_fn
-        self._gen_tables: dict[Permutation, list[int]] | None = None
-        self._tables: dict[Permutation, list[int]] = {}
+        # one point-index table per group element index, once verified
+        self._tables: list[list[int]] | None = None
 
     @classmethod
     def from_point_action(
@@ -556,68 +565,75 @@ class GSet:
 
     def act(self, g: Permutation, point):
         """Apply one group element to one point."""
-        table = self._tables.get(g)
-        if table is not None:
-            return self.points[table[self._index[point]]]
-        return self._act_fn(g, point)
+        if self._tables is None:
+            return self._act_fn(g, point)
+        return self.points[self._tables[self.group.index_of(g)][self._index[point]]]
 
     def act_index(self, g: Permutation, idx: int) -> int:
-        table = self._tables.get(g)
-        if table is not None:
-            return table[idx]
-        return self._index[self._act_fn(g, self.points[idx])]
-
-    def generator_tables(self) -> dict[Permutation, list[int]]:
-        if self._gen_tables is None:
-            tables = {}
-            for s in self.group.generators():
-                tables[s] = [
-                    self._index[self._act_fn(s, p)] for p in self.points
-                ]
-            self._gen_tables = tables
-            self._tables.update(tables)
-        return self._gen_tables
+        return self._index_map(g)(idx)
 
     def table(self, g: Permutation) -> list[int]:
-        """Full point-index table of one element, composed from generator
-        tables along g's word in the group's generators."""
-        hit = self._tables.get(g)
-        if hit is not None:
-            return hit
-        gens = self.group.generators()
-        gen_tables = self.generator_tables()
-        word = self.group.word(g)
-        if not word:
-            tbl = list(range(self.size))
-        else:
-            tbl = list(gen_tables[gens[word[-1]]])
-            for gi in word[-2::-1]:
-                step = gen_tables[gens[gi]]
-                tbl = [step[x] for x in tbl]
-        self._tables[g] = tbl
-        return tbl
+        """Point-index table of one element: stored when verified, computed
+        from the action function otherwise."""
+        if self._tables is not None:
+            return self._tables[self.group.index_of(g)]
+        return list(map(self._index_map(g), range(self.size)))
+
+    def _index_map(self, g: Permutation):
+        """The map idx -> index of g·points[idx]: a stored-table lookup when
+        verified, one action-function call per index otherwise."""
+        if self._tables is not None:
+            return self._tables[self.group.index_of(g)].__getitem__
+        index, act_fn, points = self._index, self._act_fn, self.points
+        return lambda idx: index[act_fn(g, points[idx])]
+
+    def _stabilizer_members(self, idx: int) -> list[Permutation]:
+        """The group elements fixing the point with index idx."""
+        elements = self.group.elements
+        if self._tables is not None:
+            return [g for g, t in zip(elements, self._tables) if t[idx] == idx]
+        point = self.points[idx]
+        act_fn = self._act_fn
+        return [g for g in elements if act_fn(g, point) == point]
 
     def _verify_action(self):
-        """Check the action axioms on the explicit element set: the identity
-        fixes everything, and T_{s·g} = T_s ∘ T_g for every generator s and
-        every group element g.  The general axiom T_{gh} = T_g ∘ T_h follows
-        by induction on the word length of g in the generators."""
-        e = self.group.identity
-        for p in self.points:
-            if self._act_fn(e, p) != p:
-                raise ValueError(f"identity moves point {p!r} in {self.label}")
-        gens = self.group.generators()
-        for s in gens:
-            for g in self.group.elements:
-                sg = s * g
-                for p in self.points:
-                    left = self._act_fn(sg, p)
-                    right = self._act_fn(s, self._act_fn(g, p))
-                    if left != right:
-                        raise ValueError(
-                            f"action axiom fails in {self.label}: "
-                            f"({s})*({g}) on {p!r}: {left!r} != {right!r}"
-                        )
+        """Tabulate the action, one act_fn call per (element, point), and
+        check the axioms on the tables: every image lies in the point set,
+        the identity fixes everything, and T_{s·g} = T_s ∘ T_g for every
+        generator s and every group element g.  The general axiom
+        T_{gh} = T_g ∘ T_h follows by induction on the word length of g in
+        the generators."""
+        group = self.group
+        entries = group.order * self.size
+        if entries > TABLE_CAP:
+            raise CapExceeded("table-entries", TABLE_CAP, self.label)
+        points, index, act_fn = self.points, self._index, self._act_fn
+        tables = []
+        for g in group.elements:
+            row = [index.get(act_fn(g, p), -1) for p in points]
+            if -1 in row:
+                p = points[row.index(-1)]
+                raise ValueError(
+                    f"action leaves the point set in {self.label}: "
+                    f"({g}) sends {p!r} to {act_fn(g, p)!r}"
+                )
+            tables.append(row)
+        ident = tables[group.index_of(group.identity)]
+        for k, v in enumerate(ident):
+            if v != k:
+                raise ValueError(f"identity moves point {points[k]!r} in {self.label}")
+        for s in group.generators():
+            ts = tables[group.index_of(s)]
+            lookup = ts.__getitem__
+            for g, tg in zip(group.elements, tables):
+                tsg = tables[group.index_of(s * g)]
+                if tsg != list(map(lookup, tg)):
+                    k = next(k for k, x in enumerate(tg) if tsg[k] != ts[x])
+                    raise ValueError(
+                        f"action axiom fails in {self.label}: ({s})*({g}) on "
+                        f"{points[k]!r}: {points[tsg[k]]!r} != {points[ts[tg[k]]]!r}"
+                    )
+        self._tables = tables
 
     def __repr__(self):
         return f"<GSet {self.label}: {self.size} points, {self.group!r}>"
@@ -678,7 +694,7 @@ def symmetric_power(s: GSet, i: int, point_cap: int = DEFAULT_POINT_CAP) -> GSet
     points = itertools.combinations_with_replacement(range(s.size), i)
 
     def act(g, multiset):
-        return tuple(sorted(s.act_index(g, k) for k in multiset))
+        return tuple(sorted(map(s._index_map(g), multiset)))
 
     return GSet.from_point_action(
         s.group,
@@ -708,9 +724,8 @@ def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
     points = tuples(list(range(s.size)), tuple(mu)) if mu.weight <= s.size else []
 
     def act(g, blocks):
-        return tuple(
-            tuple(sorted(s.act_index(g, k) for k in block)) for block in blocks
-        )
+        move = s._index_map(g)
+        return tuple(tuple(sorted(map(move, block))) for block in blocks)
 
     body = ",".join(str(p) for p in mu)
     return GSet.from_point_action(
@@ -725,7 +740,7 @@ def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
 def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
     """Orbits as sorted lists of point indices, ordered by least element."""
     group = _resolve_group(s, group)
-    tables = list(s.generator_tables().values())
+    tables = [s.table(g) for g in group.generators()]
     seen = [False] * s.size
     out = []
     for start in range(s.size):
@@ -747,10 +762,9 @@ def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
 
 
 def stabilizer(s: GSet, point, group: PermGroup | None = None) -> PermGroup:
-    """The subgroup fixing one point, by direct sweep over the group."""
+    """The subgroup fixing one point."""
     group = _resolve_group(s, group)
-    members = [g for g in group.elements if s.act(g, point) == point]
-    return PermGroup(group.degree, members)
+    return PermGroup(group.degree, s._stabilizer_members(s.index_of(point)))
 
 
 def fixed_point_count(s: GSet, g: Permutation) -> int:
@@ -897,9 +911,7 @@ def decompose(s: GSet, group: PermGroup | None = None) -> BurnsideElement:
     group = _resolve_group(s, group)
     coeffs: dict[tuple, int] = {}
     for orbit in orbits(s):
-        point = s.points[orbit[0]]
-        members = [g for g in group.elements if s.act(g, point) == point]
-        key = group.canonical_key(members)
+        key = group.canonical_key(s._stabilizer_members(orbit[0]))
         coeffs[key] = coeffs.get(key, 0) + 1
     return BurnsideElement(group, coeffs)
 
@@ -929,7 +941,8 @@ def lambda_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideE
     """Exterior-power classes of an arbitrary G-set via the recursion
     opposite to the symmetric powers, entirely inside the engine: symmetric
     powers are decomposed by brute force and multiplied in the transitive
-    basis.  Vanishing above |s| is asserted, not assumed."""
+    basis.  Vanishing above |s| is a theorem, so it is checked, not
+    assumed: a nonzero value there raises TheoremViolation."""
     group = _resolve_group(s, group)
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
@@ -943,8 +956,8 @@ def lambda_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideE
             term = lam[j] * sig[m - j]
             total = total + (term if j % 2 == 0 else -term)
         value = total if m % 2 == 1 else -total
-        if m > s.size:
-            assert value.is_zero(), (
+        if m > s.size and not value.is_zero():
+            raise TheoremViolation(
                 f"lambda^{m} of {s.label} (size {s.size}) must vanish"
             )
         lam.append(value)
@@ -1167,8 +1180,7 @@ def schur_membership(s: GSet) -> list[dict]:
     young = {key: mu for mu, key in group.young_keys().items()}
     verdicts = []
     for orbit in orbits(s):
-        point = s.points[orbit[0]]
-        members = [g for g in group.elements if s.act(g, point) == point]
+        members = s._stabilizer_members(orbit[0])
         key = group.canonical_key(members)
         mu = young.get(key)
         verdicts.append(

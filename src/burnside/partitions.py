@@ -12,6 +12,12 @@ from __future__ import annotations
 from math import factorial, prod
 
 
+class TheoremViolation(Exception):
+    """A computed value contradicts a theorem the package relies on.  That
+    can only be an implementation bug; unlike ``assert``, the check stays
+    in force under ``python -O``."""
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
@@ -44,10 +50,7 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
-Composition = tuple  # ordered parts, not necessarily monotone
-
-
-def as_composition(parts) -> Composition:
+def as_composition(parts) -> tuple[int, ...]:
     """Validate a tuple of positive integers as a composition."""
     parts = tuple(int(p) for p in parts)
     for p in parts:
@@ -115,7 +118,10 @@ def multinomial(mu: Partition) -> int:
         raise ValueError("multinomial is undefined for the empty partition")
     num = factorial(len(mu))
     den = prod(factorial(a) for a in alpha(mu))
-    assert num % den == 0
+    if num % den:
+        raise TheoremViolation(
+            f"multinomial of {format_partition(mu)}: {den} does not divide {num}"
+        )
     return num // den
 
 

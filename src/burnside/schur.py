@@ -22,6 +22,7 @@ from math import factorial, prod
 
 from .partitions import (
     Partition,
+    TheoremViolation,
     alpha,
     composition_to_partition,
     enumerate_partitions,
@@ -235,7 +236,7 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     opposite to the symmetric powers.
 
     For i > n the recursion must collapse to zero; that is a theorem, so it
-    is asserted rather than assumed.
+    is checked rather than assumed: a nonzero value raises TheoremViolation.
     """
     if n < 1:
         raise ValueError(f"ambient must be >= 1, got {n}")
@@ -248,8 +249,8 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
         term = recursive_lambda(j, n) * sigma(i - j, n)
         total = total + (term if j % 2 == 0 else -term)
     result = total if i % 2 == 1 else -total
-    if i > n:
-        assert result.is_zero(), f"lambda^{i} at n={n} must vanish, got {result.render()}"
+    if i > n and not result.is_zero():
+        raise TheoremViolation(f"lambda^{i} at n={n} must vanish, got {result.render()}")
     return result
 
 

@@ -10,12 +10,14 @@ from math import factorial
 
 import pytest
 
+from burnside import engine
 from burnside.engine import (
     DEFAULT_GROUP_CAP,
     BurnsideElement,
     CapExceeded,
     GroupFileError,
     GSet,
+    PermGroup,
     Permutation,
     burnside_to_schur,
     cyclic_group,
@@ -511,3 +513,83 @@ def test_burnside_render():
     doc = nat.to_json()
     assert doc["terms"][0]["schur"] == [3, 1]
     assert doc["group_order"] == 24
+
+
+# ------------------------------------------------ table-engine invariants
+
+
+def test_action_checked_on_every_element_not_only_generators():
+    group = symmetric_group(4)
+    # an element no product of at most two generators reaches, so a check
+    # that only composed generator tables would never see it
+    bad = max(group.elements, key=lambda g: len(group.word(g)))
+    assert len(group.word(bad)) >= 3
+
+    def wrong_once(g, p):
+        return p if g == bad else g(p)
+
+    with pytest.raises(ValueError, match="action axiom"):
+        GSet.from_point_action(group, [1, 2, 3, 4], wrong_once)
+
+
+def test_image_outside_point_set_is_a_value_error():
+    group = symmetric_group(3)
+
+    def escapes(g, p):
+        return p if g == group.identity else g(p) + 10
+
+    with pytest.raises(ValueError, match="leaves the point set"):
+        GSet.from_point_action(group, [1, 2, 3], escapes)
+
+
+def _all_subgroups(group):
+    """Every subgroup of a group whose subgroups are all 2-generated."""
+    found = set()
+    for a in group.elements:
+        for b in group.elements:
+            found.add(frozenset(group_closure([a, b]).elements))
+    return found
+
+
+def _reference_key(group, members):
+    """The canonical key by a full conjugation sweep over the group."""
+    return min(
+        tuple(sorted(group.index_of(g * h * g.inverse()) for h in members))
+        for g in group.elements
+    )
+
+
+@pytest.mark.parametrize(
+    "group, subgroups, classes",
+    [
+        (group_closure(symmetric_group(4).generators()), 30, 11),
+        # direct constructor, no generators given: a greedy set is derived;
+        # S_2 x S_3 is dihedral of order 12
+        (PermGroup(5, young_subgroup(2, 5).elements), 16, 10),
+    ],
+    ids=["S4", "young-2-5"],
+)
+def test_canonical_key_matches_full_conjugation_sweep(group, subgroups, classes):
+    found = _all_subgroups(group)
+    assert len(found) == subgroups
+    keys = set()
+    for members in sorted(found, key=len):
+        key = group.canonical_key(members)
+        assert key == _reference_key(group, members)
+        keys.add(key)
+    assert len(keys) == classes
+
+
+def test_table_cap(monkeypatch):
+    group = symmetric_group(3)
+    monkeypatch.setattr(engine, "TABLE_CAP", 18)
+    nat = natural_gset(group)  # 6 elements x 3 points = 18 entries
+    # composites stay lazy: tabulating this product would need 54 entries
+    square = product_gset(nat, nat)
+    assert len(orbits(square)) == 2
+    assert decompose(square).cardinality() == 9
+    monkeypatch.setattr(engine, "TABLE_CAP", 17)
+    with pytest.raises(CapExceeded) as exc:
+        natural_gset(group)
+    assert exc.value.kind == "table-entries"
+    assert exc.value.cap == 17
