@@ -11,6 +11,11 @@ A tuple of disjoint blocks covering {1..n} is fixed by a permutation g
 exactly when every cycle of g stays inside a single block, so the fixed
 points of [P_mu] at cycle type nu are counted by distributing the cycles
 of nu over the ordered blocks with block r receiving total length mu_r.
+
+`fixed_points` is the checked public entry.  The matrix, the mark vector
+and the injectivity check index their cells by partitions that
+`enumerate_partitions` built, so they call the counter `_placements`
+directly, with each basis key's sorted block tuple built once.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def _placements(cycles: tuple, caps: tuple) -> int:
 
 def fixed_points(mu, nu) -> int:
     """Fixed points of the basis G-set of mu under a permutation of cycle
-    type nu; both arguments must be partitions of the same n."""
+    type nu; both arguments must be partitions of the same n, and a weight
+    mismatch raises ValueError."""
     mu, nu = Partition(mu), Partition(nu)
     if mu.weight != nu.weight:
         raise ValueError(
@@ -69,7 +75,9 @@ def mark_matrix(n: int) -> list[list[int]]:
     Lower-triangular: a cycle of length bigger than every block cannot be
     placed, and more precisely the entry vanishes whenever nu > mu."""
     order = marks_vector_order(n)
-    return [[fixed_points(mu, nu) for mu in order] for nu in order]
+    columns = [tuple(sorted(mu)) for mu in order]
+    return [[_placements(cycles, blocks) for blocks in columns]
+            for cycles in map(tuple, order)]
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,10 @@ class MarkVector:
 def marks_of(x: SchurElement) -> MarkVector:
     """Mark vector of an element, extended linearly from the basis."""
     order = marks_vector_order(x.ambient)
+    terms = [(tuple(sorted(mu)), c) for mu, c in x.coeffs.items()]
     values = tuple(
-        sum(c * fixed_points(mu, nu) for mu, c in x.coeffs.items()) for nu in order
+        sum(c * _placements(cycles, blocks) for blocks, c in terms)
+        for cycles in map(tuple, order)
     )
     return MarkVector(x.ambient, tuple(order), values)
 
@@ -109,14 +119,14 @@ def marks_of(x: SchurElement) -> MarkVector:
 def verify_injectivity(n: int) -> dict:
     """Check the structural facts that make the mark vector injective at
     ambient n: entries above the diagonal vanish and diagonal entries do not.
-    Returns a report with every offending cell (empty failures means pass).
+    Every cell of `mark_matrix(n)` is checked.  Returns a report with every
+    offending cell (empty failures means pass).
     """
     order = marks_vector_order(n)
     failures = []
     diagonal = []
-    for r, nu in enumerate(order):
-        for c, mu in enumerate(order):
-            value = fixed_points(mu, nu)
+    for r, (nu, row) in enumerate(zip(order, mark_matrix(n))):
+        for c, (mu, value) in enumerate(zip(order, row)):
             if r == c:
                 diagonal.append(value)
                 if value == 0:

@@ -64,29 +64,41 @@ def composition_to_partition(alpha) -> Partition:
     return Partition(sorted(as_composition(alpha), reverse=True))
 
 
-def enumerate_partitions(i: int) -> list[Partition]:
+def enumerate_partitions(i: int, max_parts: int | None = None) -> list[Partition]:
     """All partitions of i, in strictly descending lexicographic order.
 
     The first element is (i), the last (1,...,1).  For i = 0 the list holds
-    the single empty partition.
+    the single empty partition.  With `max_parts` set, only the partitions
+    with at most that many parts are generated (directly, not by filtering),
+    in the same order; the list is empty when max_parts = 0 < i.
     """
     if i < 0:
         raise ValueError(f"cannot partition a negative integer: {i}")
+    if max_parts is None:
+        max_parts = i
+    elif max_parts < 0:
+        raise ValueError(f"max_parts must be >= 0, got {max_parts}")
     if i == 0:
         return [Partition()]
+    if max_parts == 0:
+        return []
     out = []
     cur = [i]
     while True:
         out.append(Partition(cur))
-        # find rightmost part > 1, decrement it, redistribute the remainder
+        # find the rightmost part that can be decremented with the remainder
+        # (the decremented unit plus every later part) still fitting into the
+        # parts left free, each at most the decremented value
+        rest = 1
         j = len(cur) - 1
-        while j >= 0 and cur[j] == 1:
+        while j >= 0 and rest > (cur[j] - 1) * (max_parts - j - 1):
+            rest += cur[j]
             j -= 1
         if j < 0:
             return out
-        rest = len(cur) - j  # the decremented unit plus the trailing ones
         cur[j] -= 1
         del cur[j + 1:]
+        # greedy refill gives the lexicographically largest tail
         while rest > 0:
             nxt = min(cur[-1], rest)
             cur.append(nxt)

@@ -13,6 +13,15 @@ P_mu x P_nu are classified by the matrix of block-intersection sizes, so
 with row sums mu and column sums nu, where gamma collects the nonzero
 entries.  Rows and columns are labelled by tuple position, so each matrix
 counts exactly one orbit and no symmetry quotient is needed.
+
+The matrices are counted, not listed.  A product needs only the multiset
+of nonzero entries of each matrix, and the matrices that complete a given
+first row depend only on the multiset of column sums it leaves.  So the
+count recurses over the rows, with the remaining rows and the sorted
+remaining column sums as a cached state, and the fills of one row are
+grouped by that state and by the row's nonzero entries before they are
+combined with the count of the rest.  [1^n]*[1^n], for example, has n!
+matrices but only n states.
 """
 
 from __future__ import annotations
@@ -165,36 +174,45 @@ def _row_fills(total, bounds):
 
 
 @lru_cache(maxsize=None)
+def _tables(rows: tuple, cols: tuple) -> dict:
+    """Count the nonnegative integer matrices with row sums `rows` and column
+    sums `cols` (a sorted tuple of positive capacities) by the multiset of
+    their nonzero entries: {entries sorted descending: number of matrices}.
+
+    The fills of the first row are grouped by (remaining capacities, sorted;
+    the row's nonzero entries), and each group's size multiplies the cached
+    counts of the remaining rows, so every matrix is counted exactly once.
+    """
+    if not rows:
+        return {(): 1}
+    groups: dict[tuple, int] = {}
+    for row in _row_fills(rows[0], cols):
+        left = tuple(sorted(c - e for c, e in zip(cols, row) if c != e))
+        key = (left, tuple(sorted(e for e in row if e)))
+        groups[key] = groups.get(key, 0) + 1
+    out: dict[tuple, int] = {}
+    for (left, entries), ways in groups.items():
+        for tail, count in _tables(rows[1:], left).items():
+            gamma = tuple(sorted(entries + tail, reverse=True))
+            out[gamma] = out.get(gamma, 0) + ways * count
+    return out
+
+
+@lru_cache(maxsize=None)
 def _basis_product(mu: tuple, nu: tuple) -> dict:
     """Expand [P_mu]*[P_nu] (mu, nu partitions of the same n) as
-    {gamma: multiplicity} by enumerating contingency tables with margins
-    mu and nu, row by row in row-major lexicographic order."""
+    {gamma: multiplicity}: the number of contingency tables with row sums mu
+    and column sums nu whose nonzero entries sort to gamma, counted by the
+    grouped recursion of `_tables` over the rows of mu."""
     n = sum(mu)
     if mu == (n,):
         return {Partition(nu): 1}
     if nu == (n,):
         return {Partition(mu): 1}
-    out: dict[Partition, int] = {}
-    cols = list(nu)
-
-    def fill(r: int, entries: list[int]):
-        if r == len(mu):
-            gamma = Partition(sorted(entries, reverse=True))
-            out[gamma] = out.get(gamma, 0) + 1
-            return
-        for row in _row_fills(mu[r], tuple(cols)):
-            mark = len(entries)
-            for j, e in enumerate(row):
-                cols[j] -= e
-                if e:
-                    entries.append(e)
-            fill(r + 1, entries)
-            del entries[mark:]
-            for j, e in enumerate(row):
-                cols[j] += e
-
-    fill(0, [])
-    return out
+    return {
+        Partition(gamma): count
+        for gamma, count in _tables(tuple(mu), tuple(sorted(nu))).items()
+    }
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
@@ -222,11 +240,11 @@ def sigma(i: int, n: int) -> SchurElement:
         raise ValueError(f"power must be >= 0, got {i}")
     if i == 0:
         return SchurElement.one(n)
-    total = SchurElement.zero(n)
-    for mu in enumerate_partitions(i):
-        if mu.length <= n:
-            total = total + basis_element(composition_to_partition(alpha(mu)), n)
-    return total
+    counts: dict[Partition, int] = {}
+    for mu in enumerate_partitions(i, max_parts=n):
+        key = pad(composition_to_partition(alpha(mu)), n)
+        counts[key] = counts.get(key, 0) + 1
+    return SchurElement(n, counts)
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +264,10 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
         return SchurElement.one(n)
     total = SchurElement.zero(n)
     for j in range(i):
-        term = recursive_lambda(j, n) * sigma(i - j, n)
+        lam = recursive_lambda(j, n)
+        if lam.is_zero():  # every l_j with n < j < i, already checked to vanish
+            continue
+        term = lam * sigma(i - j, n)
         total = total + (term if j % 2 == 0 else -term)
     result = total if i % 2 == 1 else -total
     if i > n and not result.is_zero():

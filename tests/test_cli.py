@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 from burnside.cli import main
+from burnside.schur import basis_cardinality
 
 
 def run(capsys, *argv):
@@ -188,3 +190,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "+1*[P(2,1)] @ n=3\n"
+
+
+def test_tall_sigma_finishes():
+    # sigma(120, 2) keeps 61 of the 1.8e9 partitions of 120
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "sigma", "--n", "2", "--i", "120",
+         "--format", "structured"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    terms = json.loads(proc.stdout)["payload"]["element"]["terms"]
+    assert terms == [
+        {"partition": [2], "coefficient": 1},
+        {"partition": [1, 1], "coefficient": 60},
+    ]
+    points = sum(t["coefficient"] * basis_cardinality(t["partition"]) for t in terms)
+    assert points == comb(121, 120)

@@ -160,3 +160,16 @@ def test_composition_conversion():
     assert composition_to_partition(comp) == Partition((3, 1, 1))
     with pytest.raises(ValueError):
         as_composition((2, 0))
+
+
+def test_enumerate_with_max_parts_is_the_filtered_list():
+    for i in range(0, 26):
+        full = enumerate_partitions(i)
+        for k in range(0, i + 2):
+            assert enumerate_partitions(i, max_parts=k) == [
+                mu for mu in full if len(mu) <= k
+            ], (i, k)
+    assert enumerate_partitions(5, max_parts=0) == []
+    assert enumerate_partitions(0, max_parts=0) == [Partition()]
+    with pytest.raises(ValueError):
+        enumerate_partitions(5, max_parts=-1)

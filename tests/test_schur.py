@@ -6,13 +6,18 @@ engine and acceptance suites.
 """
 
 import random
-from math import comb
+from collections import Counter
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
+import burnside
+from burnside import marks, schur
 from burnside.partitions import Partition, enumerate_partitions
 from burnside.schur import (
     SchurElement,
+    _basis_product,
     basis_cardinality,
     basis_element,
     cardinality,
@@ -207,3 +212,54 @@ def test_scalar_arithmetic():
     assert -x + x == SchurElement.zero(4)
     assert 3 * x == x * 3
     assert (2 * x).coeffs == {Partition((2, 2)): 2}
+
+
+def contingency_tables(mu, nu):
+    """Counter of the sorted nonzero entries of every nonnegative integer
+    matrix with row sums mu and column sums nu.  Every row but the last is
+    drawn from all vectors bounded by the remaining column sums; the last
+    row is what the column sums leave."""
+    found = Counter()
+
+    def rows(r, cols, entries):
+        if r == len(mu) - 1:
+            if sum(cols) == mu[r]:
+                found[tuple(sorted(entries + [c for c in cols if c], reverse=True))] += 1
+            return
+        for row in product(*(range(c + 1) for c in cols)):
+            if sum(row) == mu[r]:
+                rows(r + 1, [c - e for c, e in zip(cols, row)], entries + [e for e in row if e])
+
+    rows(0, list(nu), [])
+    return found
+
+
+def test_basis_product_counts_every_contingency_table():
+    # transposing a table keeps its entries, so one enumeration checks both orders
+    for n in range(1, 9):
+        keys = enumerate_partitions(n)
+        for k, a in enumerate(keys):
+            for b in keys[k:]:
+                expected = contingency_tables(a, b)
+                assert _basis_product(tuple(a), tuple(b)) == expected, (a, b)
+                assert _basis_product(tuple(b), tuple(a)) == expected, (b, a)
+
+
+def test_permutation_matrices_are_counted_not_enumerated():
+    ones = B((1,) * 12, 12)
+    assert schur_mul(ones, ones) == factorial(12) * ones
+
+
+def test_clear_caches_empties_every_cache_and_keeps_results():
+    caches = (schur.sigma, schur.recursive_lambda, schur._basis_product,
+              schur._tables, marks._placements)
+
+    def results():
+        return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
+                marks.mark_matrix(6), marks.marks_of(sigma(3, 5)))
+
+    before = results()
+    assert all(cache.cache_info().currsize for cache in caches)
+    burnside.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert results() == before
