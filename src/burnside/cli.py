@@ -4,7 +4,9 @@ Every subcommand is deterministic: the same invocation produces byte-for-byte
 identical output.  Text mode prints human-readable lines; ``--format
 structured`` prints one JSON document with fields {status, payload,
 diagnostics}, serialized with sorted keys so that parse-and-redump
-round-trips exactly.
+round-trips exactly.  Each subcommand returns its exit code, a function
+that renders its text lines and its payload, so the structured mode never
+renders text it would throw away.
 
 Exit codes: 0 success / verification passed, 1 a verified identity failed
 or a theorem check raised TheoremViolation (an implementation bug, since
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from .engine import (
     CapExceeded,
@@ -43,24 +46,29 @@ from .schur import (
     sigma,
 )
 
+# renders a subcommand's text lines; called only in text mode
+Lines = Callable[[], list]
 
-def cmd_lambda(args) -> tuple[int, list[str], dict]:
+
+def cmd_lambda(args) -> tuple[int, Lines, dict]:
     if args.n < 1 or args.i < 0:
         raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
     if args.method == "closed":
         element = closed_lambda(args.i, args.n)
-        return 0, [element.render()], {"method": "closed", "element": element.to_json()}
+        return 0, lambda: [element.render()], {"method": "closed", "element": element.to_json()}
     if args.method == "recursive":
         element = recursive_lambda(args.i, args.n)
-        return 0, [element.render()], {"method": "recursive", "element": element.to_json()}
+        return 0, lambda: [element.render()], {"method": "recursive", "element": element.to_json()}
     closed = closed_lambda(args.i, args.n)
     recursive = recursive_lambda(args.i, args.n)
     equal = closed == recursive
-    lines = [
-        f"closed:    {closed.render()}",
-        f"recursive: {recursive.render()}",
-        "EQUAL" if equal else "DIFFER",
-    ]
+
+    def lines():
+        return [
+            f"closed:    {closed.render()}",
+            f"recursive: {recursive.render()}",
+            "EQUAL" if equal else "DIFFER",
+        ]
     payload = {
         "method": "both",
         "closed": closed.to_json(),
@@ -70,43 +78,47 @@ def cmd_lambda(args) -> tuple[int, list[str], dict]:
     return (0 if equal else 1), lines, payload
 
 
-def cmd_sigma(args) -> tuple[int, list[str], dict]:
+def cmd_sigma(args) -> tuple[int, Lines, dict]:
     if args.n < 1 or args.i < 0:
         raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
     element = sigma(args.i, args.n)
-    return 0, [element.render()], {"element": element.to_json()}
+    return 0, lambda: [element.render()], {"element": element.to_json()}
 
 
-def cmd_mul(args) -> tuple[int, list[str], dict]:
+def cmd_mul(args) -> tuple[int, Lines, dict]:
     a = basis_element(parse_partition(args.a), args.n)
     b = basis_element(parse_partition(args.b), args.n)
     product = schur_mul(a, b)
-    return 0, [product.render()], {"element": product.to_json()}
+    return 0, lambda: [product.render()], {"element": product.to_json()}
 
 
-def cmd_marks(args) -> tuple[int, list[str], dict]:
+def cmd_marks(args) -> tuple[int, Lines, dict]:
     if args.n < 1:
         raise ValueError(f"need n >= 1, got n={args.n}")
     order = marks_vector_order(args.n)
     matrix = mark_matrix(args.n)
-    labels = [format_partition(mu) for mu in order]
-    col_widths = [
-        max(len(labels[c]), max(len(str(row[c])) for row in matrix))
-        for c in range(len(order))
-    ]
-    row_width = max(len(lab) for lab in labels)
-    lines = [
-        f"mark matrix @ n={args.n} (rows: cycle type, columns: block shape; descending lex)",
-        " " * row_width
-        + "  "
-        + "  ".join(lab.rjust(col_widths[c]) for c, lab in enumerate(labels)),
-    ]
-    for r, row in enumerate(matrix):
-        lines.append(
-            labels[r].ljust(row_width)
+
+    def lines():
+        labels = [format_partition(mu) for mu in order]
+        col_widths = [
+            max(len(labels[c]), max(len(str(row[c])) for row in matrix))
+            for c in range(len(order))
+        ]
+        row_width = max(len(lab) for lab in labels)
+        out = [
+            f"mark matrix @ n={args.n} (rows: cycle type, columns: block shape; descending lex)",
+            " " * row_width
             + "  "
-            + "  ".join(str(v).rjust(col_widths[c]) for c, v in enumerate(row))
-        )
+            + "  ".join(lab.rjust(col_widths[c]) for c, lab in enumerate(labels)),
+        ]
+        for r, row in enumerate(matrix):
+            out.append(
+                labels[r].ljust(row_width)
+                + "  "
+                + "  ".join(str(v).rjust(col_widths[c]) for c, v in enumerate(row))
+            )
+        return out
+
     payload = {
         "n": args.n,
         "order": [list(mu) for mu in order],
@@ -115,7 +127,7 @@ def cmd_marks(args) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
-def cmd_verify(args) -> tuple[int, list[str], dict]:
+def cmd_verify(args) -> tuple[int, Lines, dict]:
     n_max = args.n_max
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
@@ -213,10 +225,10 @@ def cmd_verify(args) -> tuple[int, list[str], dict]:
         "leading_terms": leading,
         "final": final,
     }
-    return (0 if all_pass else 1), lines, payload
+    return (0 if all_pass else 1), lambda: lines, payload
 
 
-def cmd_oracle(args) -> tuple[int, list[str], dict]:
+def cmd_oracle(args) -> tuple[int, Lines, dict]:
     try:
         with open(args.group, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -251,10 +263,10 @@ def cmd_oracle(args) -> tuple[int, list[str], dict]:
         "recursion": by_recursion.to_json(),
         "equal": equal,
     }
-    return (0 if equal else 1), lines, payload
+    return (0 if equal else 1), lambda: lines, payload
 
 
-def cmd_indres(args) -> tuple[int, list[str], dict]:
+def cmd_indres(args) -> tuple[int, Lines, dict]:
     if not 1 <= args.i <= args.n:
         raise ValueError(f"need 1 <= i <= n, got i={args.i}, n={args.n}")
     lines = []
@@ -283,7 +295,7 @@ def cmd_indres(args) -> tuple[int, list[str], dict]:
         "exterior_power": report73,
         "pass": ok,
     }
-    return (0 if ok else 1), lines, payload
+    return (0 if ok else 1), lambda: lines, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(fmt: str, code: int, lines: list[str], payload: dict, diagnostics=None):
+def _emit(fmt: str, code: int, lines: Lines, payload: dict, diagnostics=None):
     if fmt == "structured":
         document = {
             "status": "ok" if code == 0 else "error",
@@ -381,7 +393,7 @@ def _emit(fmt: str, code: int, lines: list[str], payload: dict, diagnostics=None
         }
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -395,18 +407,18 @@ def main(argv=None) -> int:
         _emit(
             fmt,
             3,
-            [f"cap exceeded: {exc}"],
+            lambda: [f"cap exceeded: {exc}"],
             {"kind": "cap", "message": str(exc), "cap": exc.cap, "which": exc.kind},
         )
         return 3
     except TheoremViolation as exc:
-        _emit(fmt, 1, [f"theorem violated: {exc}"], {"kind": "theorem", "message": str(exc)})
+        _emit(fmt, 1, lambda: [f"theorem violated: {exc}"], {"kind": "theorem", "message": str(exc)})
         return 1
     except GroupFileError as exc:
-        _emit(fmt, 2, [f"group file error: {exc}"], {"kind": "usage", "message": str(exc)})
+        _emit(fmt, 2, lambda: [f"group file error: {exc}"], {"kind": "usage", "message": str(exc)})
         return 2
     except ValueError as exc:
-        _emit(fmt, 2, [f"error: {exc}"], {"kind": "usage", "message": str(exc)})
+        _emit(fmt, 2, lambda: [f"error: {exc}"], {"kind": "usage", "message": str(exc)})
         return 2
     _emit(fmt, code, lines, payload)
     return code

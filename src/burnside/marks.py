@@ -16,11 +16,16 @@ of nu over the ordered blocks with block r receiving total length mu_r.
 and the injectivity check index their cells by partitions that
 `enumerate_partitions` built, so they call the counter `_placements`
 directly, with each basis key's sorted block tuple built once.
+
+The order of the partitions of n and the mark column of each basis key
+that `marks_of` meets are cached for the life of the process (see
+`burnside.clear_caches`), so a mark vector is a sum of cached columns.
+`mark_matrix` is not cached: at n = 18 it has 148,225 cells, and the
+callers that need it ask for it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import Partition, enumerate_partitions
@@ -63,9 +68,14 @@ def fixed_points(mu, nu) -> int:
     return _placements(tuple(nu), tuple(sorted(mu)))
 
 
+@lru_cache(maxsize=None)
+def _order(n: int) -> tuple:
+    return tuple(enumerate_partitions(n))
+
+
 def marks_vector_order(n: int) -> list[Partition]:
     """Row/column index order used throughout: descending lexicographic."""
-    return list(enumerate_partitions(n))
+    return list(_order(n))
 
 
 def mark_matrix(n: int) -> list[list[int]]:
@@ -74,19 +84,51 @@ def mark_matrix(n: int) -> list[list[int]]:
 
     Lower-triangular: a cycle of length bigger than every block cannot be
     placed, and more precisely the entry vanishes whenever nu > mu."""
-    order = marks_vector_order(n)
+    order = _order(n)
     columns = [tuple(sorted(mu)) for mu in order]
     return [[_placements(cycles, blocks) for blocks in columns]
             for cycles in map(tuple, order)]
 
 
-@dataclass(frozen=True)
-class MarkVector:
-    """Marks of one element at every cycle type, in descending lex order."""
+@lru_cache(maxsize=None)
+def _mark_column(mu: Partition) -> tuple:
+    """Marks of the basis class of mu at every cycle type of its weight."""
+    blocks = tuple(sorted(mu))
+    return tuple(_placements(tuple(nu), blocks) for nu in _order(sum(mu)))
 
-    ambient: int
-    cycle_types: tuple
-    values: tuple
+
+class MarkVector:
+    """Marks of one element at every cycle type, in descending lex order.
+
+    Immutable; equal when the ambient, the cycle types and the values are."""
+
+    __slots__ = ("ambient", "cycle_types", "values")
+
+    def __init__(self, ambient: int, cycle_types: tuple, values: tuple):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "cycle_types", cycle_types)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MarkVector is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MarkVector is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.ambient, self.cycle_types, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"MarkVector(ambient={self.ambient!r}, "
+                f"cycle_types={self.cycle_types!r}, values={self.values!r})")
 
     def to_json(self) -> dict:
         return {
@@ -106,14 +148,13 @@ class MarkVector:
 
 
 def marks_of(x: SchurElement) -> MarkVector:
-    """Mark vector of an element, extended linearly from the basis."""
-    order = marks_vector_order(x.ambient)
-    terms = [(tuple(sorted(mu)), c) for mu, c in x.coeffs.items()]
-    values = tuple(
-        sum(c * _placements(cycles, blocks) for blocks, c in terms)
-        for cycles in map(tuple, order)
-    )
-    return MarkVector(x.ambient, tuple(order), values)
+    """Mark vector of an element, extended linearly from the basis: the
+    sum of the cached mark columns of its keys."""
+    order = _order(x.ambient)
+    values = [0] * len(order)
+    for mu, c in x.coeffs.items():
+        values = [v + c * m for v, m in zip(values, _mark_column(mu))]
+    return MarkVector(x.ambient, order, tuple(values))
 
 
 def verify_injectivity(n: int) -> dict:

@@ -22,6 +22,15 @@ remaining column sums as a cached state, and the fills of one row are
 grouped by that state and by the row's nonzero entries before they are
 combined with the count of the rest.  [1^n]*[1^n], for example, has n!
 matrices but only n states.
+
+The public constructor `SchurElement(n, coeffs)` checks every key (a
+partition of n) and coefficient, and so do `basis_element`, `degree` and
+`leading_term_check` on their arguments.  The elements the library builds
+from keys it already holds (sums, differences, negations, integer
+multiples, `schur_mul`, `sigma`, both lambdas, `one` and `zero`) skip those
+checks through `SchurElement._trusted`, which only drops zero
+coefficients, because equality compares the coefficient maps.  Every
+`TheoremViolation` check stays.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .partitions import (
     Partition,
     TheoremViolation,
     alpha,
-    composition_to_partition,
     enumerate_partitions,
     format_partition,
     multinomial,
@@ -66,17 +74,31 @@ class SchurElement:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _trusted(cls, ambient: int, coeffs: dict) -> SchurElement:
+        """Wrap coefficients whose keys are already partitions of `ambient`
+        and whose values are ints, such as an arithmetic result; only the
+        zero coefficients are dropped."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "ambient", ambient)
+        object.__setattr__(element, "coeffs", {k: c for k, c in coeffs.items() if c})
+        return element
+
     def __setattr__(self, name, value):
         raise AttributeError("SchurElement is immutable")
 
     @classmethod
     def zero(cls, n: int) -> SchurElement:
-        return cls(n, {})
+        if n < 1:
+            raise ValueError(f"ambient must be >= 1, got {n}")
+        return cls._trusted(n, {})
 
     @classmethod
     def one(cls, n: int) -> SchurElement:
         """The ring identity [P_(n)], the class of the one-point set."""
-        return cls(n, {Partition((n,)): 1})
+        if n < 1:
+            raise ValueError(f"ambient must be >= 1, got {n}")
+        return cls._trusted(n, {Partition._trusted((n,)): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -100,17 +122,17 @@ class SchurElement:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0) + c
-        return SchurElement(self.ambient, out)
+        return SchurElement._trusted(self.ambient, out)
 
     def __neg__(self):
-        return SchurElement(self.ambient, {k: -c for k, c in self.coeffs.items()})
+        return SchurElement._trusted(self.ambient, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SchurElement(self.ambient, {k: c * other for k, c in self.coeffs.items()})
+            return SchurElement._trusted(self.ambient, {k: c * other for k, c in self.coeffs.items()})
         if isinstance(other, SchurElement):
             return schur_mul(self, other)
         return NotImplemented
@@ -206,11 +228,11 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     grouped recursion of `_tables` over the rows of mu."""
     n = sum(mu)
     if mu == (n,):
-        return {Partition(nu): 1}
+        return {Partition._trusted(nu): 1}
     if nu == (n,):
-        return {Partition(mu): 1}
+        return {Partition._trusted(mu): 1}
     return {
-        Partition(gamma): count
+        Partition._trusted(gamma): count
         for gamma, count in _tables(tuple(mu), tuple(sorted(nu))).items()
     }
 
@@ -222,9 +244,9 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     for mu, ca in a.coeffs.items():
         for nu, cb in b.coeffs.items():
             c = ca * cb
-            for gamma, mult in _basis_product(tuple(mu), tuple(nu)).items():
+            for gamma, mult in _basis_product(mu, nu).items():
                 out[gamma] = out.get(gamma, 0) + c * mult
-    return SchurElement(a.ambient, out)
+    return SchurElement._trusted(a.ambient, out)
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +264,9 @@ def sigma(i: int, n: int) -> SchurElement:
         return SchurElement.one(n)
     counts: dict[Partition, int] = {}
     for mu in enumerate_partitions(i, max_parts=n):
-        key = pad(composition_to_partition(alpha(mu)), n)
+        key = pad(Partition._trusted(sorted(alpha(mu), reverse=True)), n)
         counts[key] = counts.get(key, 0) + 1
-    return SchurElement(n, counts)
+    return SchurElement._trusted(n, counts)
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +276,8 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     opposite to the symmetric powers.
 
     For i > n the recursion must collapse to zero; that is a theorem, so it
-    is checked rather than assumed: a nonzero value raises TheoremViolation.
+    is checked rather than assumed: every l_j with n < j <= i is computed,
+    in increasing j, and a nonzero one raises TheoremViolation.
     """
     if n < 1:
         raise ValueError(f"ambient must be >= 1, got {n}")
@@ -262,17 +285,31 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
         raise ValueError(f"power must be >= 0, got {i}")
     if i == 0:
         return SchurElement.one(n)
-    total = SchurElement.zero(n)
-    for j in range(i):
-        lam = recursive_lambda(j, n)
-        if lam.is_zero():  # every l_j with n < j < i, already checked to vanish
-            continue
-        term = lam * sigma(i - j, n)
-        total = total + (term if j % 2 == 0 else -term)
-    result = total if i % 2 == 1 else -total
-    if i > n and not result.is_zero():
-        raise TheoremViolation(f"lambda^{i} at n={n} must vanish, got {result.render()}")
-    return result
+    if i <= n:
+        return _lambda_sum(i, n)
+    for j in range(_vanished.get(n, n) + 1, i + 1):
+        result = _lambda_sum(j, n)
+        if not result.is_zero():
+            raise TheoremViolation(f"lambda^{j} at n={n} must vanish, got {result.render()}")
+        _vanished[n] = j
+    return SchurElement.zero(n)
+
+
+# n -> the largest i such that l_{n+1}, ..., l_i at ambient n have been
+# computed and checked to vanish; recursive_lambda starts above it
+_vanished: dict[int, int] = {}
+
+
+def _lambda_sum(i: int, n: int) -> SchurElement:
+    """The right-hand side of the recursion for l_i, i >= 1, over j <= n
+    only: every l_j with n < j < i has already been checked to vanish, so
+    the terms above n are zero and the sum costs O(n) products for any i."""
+    out: dict[Partition, int] = {}
+    for j in range(min(i, n + 1)):
+        sign = 1 if (i - j) % 2 else -1
+        for key, c in schur_mul(recursive_lambda(j, n), sigma(i - j, n)).coeffs.items():
+            out[key] = out.get(key, 0) + sign * c
+    return SchurElement._trusted(n, out)
 
 
 def closed_lambda(i: int, n: int) -> SchurElement:
@@ -288,9 +325,9 @@ def closed_lambda(i: int, n: int) -> SchurElement:
         return SchurElement.zero(n)
     out: dict[Partition, int] = {}
     for mu in enumerate_partitions(i):
-        sign = -1 if (i + mu.length) % 2 else 1
+        sign = -1 if (i + len(mu)) % 2 else 1
         out[pad(mu, n)] = sign * multinomial(mu)
-    return SchurElement(n, out)
+    return SchurElement._trusted(n, out)
 
 
 def degree(mu, n: int, k: int) -> int:
@@ -354,12 +391,16 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _points(mu: Partition) -> int:
+    return factorial(sum(mu)) // prod(factorial(p) for p in mu)
+
+
 def basis_cardinality(mu) -> int:
     """Number of points of the basis G-set for a partition of n: n!/prod(mu_j!)."""
-    mu = Partition(mu)
-    return factorial(mu.weight) // prod(factorial(p) for p in mu)
+    return _points(Partition(mu))
 
 
 def cardinality(x: SchurElement) -> int:
     """Underlying point count, extended linearly; a ring homomorphism to Z."""
-    return sum(c * basis_cardinality(mu) for mu, c in x.coeffs.items())
+    return sum(c * _points(mu) for mu, c in x.coeffs.items())

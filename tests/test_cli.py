@@ -209,3 +209,19 @@ def test_tall_sigma_finishes():
     ]
     points = sum(t["coefficient"] * basis_cardinality(t["partition"]) for t in terms)
     assert points == comb(121, 120)
+
+
+def test_structured_mode_renders_no_text(capsys, monkeypatch):
+    from burnside import cli
+    from burnside.schur import SchurElement
+
+    def refuse(*args):
+        raise AssertionError("text rendered in structured mode")
+
+    monkeypatch.setattr(cli, "format_partition", refuse)
+    monkeypatch.setattr(SchurElement, "render", refuse)
+    for argv in (["marks", "--n", "5"], ["lambda", "--n", "4", "--i", "2", "--method", "both"],
+                 ["sigma", "--n", "3", "--i", "4"], ["mul", "--n", "4", "--a", "[2,2]", "--b", "[3,1]"]):
+        code, out = run(capsys, *argv, "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"

@@ -5,8 +5,12 @@ block-tuple G-sets, and truncated power series built with a standalone
 polynomial helper (for the generating identities).
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from burnside.engine import (
     symmetric_group,
 )
 from burnside.marks import (
+    MarkVector,
     fixed_points,
     mark_matrix,
     marks_of,
@@ -196,3 +201,50 @@ def test_marks_nonzero_on_random_nonzero_elements():
 def test_render_lists_cycle_types():
     text = marks_of(SchurElement.one(2)).render()
     assert text.splitlines() == ["(2): 1", "(1,1): 1"]
+
+
+def test_column_marks_equal_the_row_sum():
+    # marks_of adds cached basis columns; the row sum over the terms with
+    # the checked fixed_points is the definition
+    for n in range(1, 8):
+        order = marks_vector_order(n)
+        keys = enumerate_partitions(n)
+        for mu in keys:
+            for nu in keys:
+                for x in (schur_mul(basis_element(mu, n), basis_element(nu, n)),
+                          2 * basis_element(mu, n) - 3 * basis_element(nu, n)):
+                    rows = tuple(sum(c * fixed_points(key, cycles) for key, c in x.coeffs.items())
+                                 for cycles in order)
+                    assert marks_of(x).values == rows
+                    assert marks_of(x).cycle_types == tuple(order)
+
+
+def test_mark_vector_record():
+    import burnside
+
+    x = marks_of(sigma(2, 3))
+    y = marks_of(sigma(2, 3))
+    assert burnside.MarkVector is MarkVector
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != marks_of(sigma(1, 3)) and x != marks_of(sigma(2, 4))
+    assert x != (x.ambient, x.cycle_types, x.values)
+    assert (x.ambient, x.cycle_types, x.values) == (3, tuple(marks_vector_order(3)), (0, 2, 6))
+    assert MarkVector(3, x.cycle_types, x.values) == x
+    for name in ("ambient", "cycle_types", "values", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(AttributeError):
+        del x.values
+    assert x.to_json()["marks"][0] == {"cycle_type": [3], "value": 0}
+    assert x.render().splitlines()[-1] == "(1,1,1): 6"
+    assert repr(x).startswith("MarkVector(ambient=3, cycle_types=(")
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # run without site, whose start-up hooks may import dataclasses themselves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys, burnside.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"

@@ -173,3 +173,28 @@ def test_enumerate_with_max_parts_is_the_filtered_list():
     assert enumerate_partitions(0, max_parts=0) == [Partition()]
     with pytest.raises(ValueError):
         enumerate_partitions(5, max_parts=-1)
+
+
+def test_enumerated_partitions_equal_checked_ones():
+    # enumerate_partitions builds its results unchecked; each must be the
+    # partition the checked constructor builds from the same parts
+    for i in range(16):
+        for k in [None] + list(range(i + 1)):
+            for mu in enumerate_partitions(i, max_parts=k):
+                assert type(mu) is Partition
+                assert mu == Partition(tuple(mu))
+                for n in (i, i + 1, i + 3):
+                    assert pad(mu, n) == pad(tuple(mu), n) == Partition(pad(mu, n))
+
+
+def test_checked_entry_points_still_reject_bad_parts():
+    for bad in ((1, 2), (2, 3, 1), (2, 0), (3, -1), (0,)):
+        with pytest.raises(ValueError):
+            Partition(bad)
+        with pytest.raises(ValueError):
+            pad(bad, 10)
+        with pytest.raises(ValueError):
+            parse_partition("[" + ",".join(map(str, bad)) + "]")
+    for bad in ((2, 0), (1, -3)):
+        with pytest.raises(ValueError):
+            composition_to_partition(bad)

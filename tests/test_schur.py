@@ -5,10 +5,14 @@ tables; the heavier cross-checks against the brute-force engine live in the
 engine and acceptance suites.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -252,14 +256,100 @@ def test_permutation_matrices_are_counted_not_enumerated():
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur._basis_product,
-              schur._tables, marks._placements)
+              schur._tables, schur._points, marks._placements, marks._order,
+              marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
-                marks.mark_matrix(6), marks.marks_of(sigma(3, 5)))
+                marks.mark_matrix(6), marks.marks_of(sigma(3, 5)), recursive_lambda(9, 6),
+                cardinality(sigma(3, 5)))
 
     before = results()
     assert all(cache.cache_info().currsize for cache in caches)
+    assert schur._vanished
     burnside.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert not schur._vanished
     assert results() == before
+
+
+def _assert_built_right(x, n):
+    """x holds only partitions of n as keys and nonzero ints as
+    coefficients, and equals the element the checked constructor builds."""
+    assert x.ambient == n
+    for key, c in x.coeffs.items():
+        assert type(key) is Partition and key == Partition(tuple(key))
+        assert sum(key) == n
+        assert type(c) is int and c != 0
+    assert x == SchurElement(n, dict(x.coeffs))
+
+
+def test_trusted_results_are_valid_elements():
+    for n in range(1, 10):
+        elements = []
+        for i in range(n + 3):
+            for x in (sigma(i, n), closed_lambda(i, n), recursive_lambda(i, n)):
+                _assert_built_right(x, n)
+                elements.append(x)
+        rng = random.Random(n)
+        for _ in range(12):
+            x, y = rng.choice(elements), rng.choice(elements)
+            k = rng.choice((-2, -1, 0, 1, 3))
+            for z in (schur_mul(x, y), x + y, x - y, x - x, -x, x * k, k * x):
+                _assert_built_right(z, n)
+        for mu in enumerate_partitions(n)[:6]:
+            for nu in enumerate_partitions(n)[-6:]:
+                _assert_built_right(schur_mul(B(mu, n), B(nu, n)), n)
+
+
+def test_checked_constructor_still_rejects_bad_keys():
+    for key in ((1, 2), (2, 3, 1), (2,), (4, 1), (3, 0), (2, 2, -1)):
+        with pytest.raises(ValueError):
+            SchurElement(3, {key: 1})
+    for mu in ((1, 2), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            basis_element(mu, 5)
+    with pytest.raises(ValueError):
+        basis_element((4, 3), 5)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            SchurElement.one(n)
+        with pytest.raises(ValueError):
+            SchurElement.zero(n)
+
+
+def test_recursive_lambda_checks_every_power_in_the_tail(monkeypatch):
+    # a sigma that is wrong only at i = 7 makes lambda^7 at n = 2 nonzero;
+    # asking for lambda^10 must compute it on the way and raise
+    real_sigma = schur.sigma
+
+    def wrong_sigma(i, n):
+        value = real_sigma(i, n)
+        return value + SchurElement.one(n) if i == 7 else value
+
+    burnside.clear_caches()
+    monkeypatch.setattr(schur, "sigma", wrong_sigma)
+    try:
+        with pytest.raises(burnside.TheoremViolation, match=r"lambda\^7 at n=2 must vanish"):
+            recursive_lambda(10, 2)
+    finally:
+        monkeypatch.undo()
+        burnside.clear_caches()
+    assert recursive_lambda(10, 2).is_zero()
+    assert recursive_lambda(6, 2).is_zero() and recursive_lambda(40, 2).is_zero()
+
+
+def test_long_vanishing_tail_finishes():
+    # for i > n the tail costs O(i*n) products and the recursion stays
+    # shallow; an O(i^2) tail needs over a minute for i = 20000
+    script = (
+        "import sys; sys.setrecursionlimit(120)\n"
+        "from burnside.schur import recursive_lambda\n"
+        "print(recursive_lambda(5000, 1).render(), recursive_lambda(60, 3).render(),\n"
+        "      recursive_lambda(20000, 1).render())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0\n"
