@@ -246,15 +246,17 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
     by_formula = eq6_general(gset, args.i)
     by_recursion = lambda_general(gset, args.i)
     equal = by_formula == by_recursion
-    lines = [
-        f"group: degree {group.degree}, order {group.order}",
-        f"action: {args.action} ({gset.size} points), i={args.i}",
-        "closed signed sum:",
-        by_formula.render(),
-        "recursion:",
-        by_recursion.render(),
-        "EQUAL" if equal else "DIFFER",
-    ]
+
+    def lines():
+        return [
+            f"group: degree {group.degree}, order {group.order}",
+            f"action: {args.action} ({gset.size} points), i={args.i}",
+            "closed signed sum:",
+            by_formula.render(),
+            "recursion:",
+            by_recursion.render(),
+            "EQUAL" if equal else "DIFFER",
+        ]
     payload = {
         "group": {"degree": group.degree, "order": group.order},
         "action": args.action,
@@ -263,31 +265,32 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
         "recursion": by_recursion.to_json(),
         "equal": equal,
     }
-    return (0 if equal else 1), lambda: lines, payload
+    return (0 if equal else 1), lines, payload
 
 
 def cmd_indres(args) -> tuple[int, Lines, dict]:
     if not 1 <= args.i <= args.n:
         raise ValueError(f"need 1 <= i <= n, got i={args.i}, n={args.n}")
-    lines = []
     reports74 = []
     ok = True
     for mu in enumerate_partitions(args.i):
         report = verify_lemma74(mu, args.i, args.n)
         reports74.append(report)
         ok = ok and report["isomorphic"]
-        lines.append(
-            f"block-tuple class {format_partition(mu)}: induced size "
-            f"{report['size']} (expected {report['expected_size']}), "
-            f"isomorphic: {'yes' if report['isomorphic'] else 'NO'}"
-        )
     report73 = verify_lemma73(args.i, args.n)
     ok = ok and report73["pass"]
-    lines.append(
-        f"exterior power i={args.i} induced from n={args.i} to n={args.n}: "
-        f"{'match' if report73['pass'] else 'MISMATCH'}"
-    )
-    lines.append("PASS" if ok else "FAIL")
+
+    def lines():
+        return [
+            f"block-tuple class {format_partition(report['mu'])}: induced size "
+            f"{report['size']} (expected {report['expected_size']}), "
+            f"isomorphic: {'yes' if report['isomorphic'] else 'NO'}"
+            for report in reports74
+        ] + [
+            f"exterior power i={args.i} induced from n={args.i} to n={args.n}: "
+            f"{'match' if report73['pass'] else 'MISMATCH'}",
+            "PASS" if ok else "FAIL",
+        ]
     payload = {
         "i": args.i,
         "n": args.n,
@@ -295,7 +298,7 @@ def cmd_indres(args) -> tuple[int, Lines, dict]:
         "exterior_power": report73,
         "pass": ok,
     }
-    return (0 if ok else 1), lambda: lines, payload
+    return (0 if ok else 1), lines, payload
 
 
 def build_parser() -> argparse.ArgumentParser:

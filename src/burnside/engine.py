@@ -8,12 +8,37 @@ oracle whose only inputs are the definitions, so that the closed formulas
 elsewhere in the package can be checked against it.
 
 The hot paths run on integer tables.  A group element's index is its
-position in the group's sorted element tuple.  A verified G-set calls its
-action function once per (element, point) to build one point-index table
-per group element, checks the action axioms on those tables, and keeps
-them (|G|·|X| entries), so every later application is a list lookup.
-Products of validated permutations skip the bijection check, which only
-outside input needs.
+position in the group's sorted element tuple, and a G-set's action is
+given once, as rows: row k lists the image index of every point under
+the element with index k.  Every construction computes its rows from its
+parents' rows by index arithmetic:
+
+- a natural set reads each permutation's images;
+- a symmetric power maps, sorts and looks up each point;
+- a block-tuple set moves each distinct block once per element and looks
+  up each point by its moved blocks;
+- a coset space looks up g·rep once per (element, coset);
+- an induced set looks up g·rep once per (element, transversal element)
+  and shifts the subgroup set's row;
+- unions, products and restrictions shift, combine or reindex their
+  parents' rows.
+
+No group element acts on a point object.  A pointwise action function
+given by a caller is adapted onto the same rows.
+
+Verified G-sets (the natural, one-point and empty sets, symmetric powers,
+block tuples, coset spaces, induced sets and, by default, sets built from
+a caller's action) evaluate the row of every element and store the rows,
+|G|·|X| entries, so every later application is a list lookup.  Verification
+checks that every row has one entry per point and every entry indexes a
+point, that the identity's row fixes every point, and that
+T_{s·g} = T_s ∘ T_g for every generator s and every element g.  Products,
+disjoint unions and restrictions are not verified, because their axioms
+follow from their verified parents, and stay lazy: a row or a single
+image is computed from the parents' rows when asked for.  Storing the
+rows of a product of coset spaces would take |G|·|X|·|Y| entries to
+answer a few orbit and stabilizer queries.  Products of validated
+permutations skip the bijection check, which only outside input needs.
 
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
@@ -267,6 +292,7 @@ class PermGroup:
         self._coset_cache: dict[tuple[int, ...], GSet] = {}
         self._class_product_cache: dict[tuple, dict] = {}
         self._young_key_cache: dict[Partition, tuple[int, ...]] | None = None
+        self._left_multiples: list[tuple[int, list[int]]] | None = None
 
     @property
     def order(self) -> int:
@@ -308,6 +334,16 @@ class PermGroup:
                     known = _closure_set(known | {g}, gens)
             self._gens = tuple(gens)
         return self._gens
+
+    def left_multiples(self) -> list[tuple[int, list[int]]]:
+        """For each generator s, its element index and the index of s·g for
+        every element g in order; |generators|·|G| products, made once."""
+        if self._left_multiples is None:
+            index, elements = self._index, self.elements
+            self._left_multiples = [
+                (index[s], [index[s * g] for g in elements]) for s in self.generators()
+            ]
+        return self._left_multiples
 
     def word(self, g: Permutation) -> tuple[int, ...]:
         """g as a product of generators, left to right, by generator index."""
@@ -373,24 +409,27 @@ class PermGroup:
         hit = self._coset_cache.get(key)
         if hit is not None:
             return hit
-        members = [self.elements[i] for i in key]
+        elements, index = self.elements, self._index
+        members = [elements[i] for i in key]
         coset_of = [-1] * self.order
         points = []
-        for i, g in enumerate(self.elements):
+        reps = []  # each coset's least element, in coset order
+        for i, g in enumerate(elements):
             if coset_of[i] >= 0:
                 continue
             cid = len(points)
-            indices = sorted(self._index[g * h] for h in members)
+            indices = sorted(index[g * h] for h in members)
             for j in indices:
                 coset_of[j] = cid
             points.append(frozenset(indices))
+            reps.append(g)
 
-        def act(g: Permutation, coset: frozenset):
-            rep = self.elements[min(coset)]
-            return points[coset_of[self._index[g * rep]]]
+        def row(gset, k):
+            g = elements[k]
+            return [coset_of[index[g * rep]] for rep in reps]
 
         gset = GSet.from_point_action(
-            self, points, act, label=f"coset space G/H, |H|={len(key)}"
+            self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
         )
         self._coset_cache[key] = gset
         return gset
@@ -514,17 +553,58 @@ def young_subgroup(i: int, n: int) -> PermGroup:
     return PermGroup(n, members)
 
 
-class GSet:
-    """A finite G-set: an indexed point list plus an action.
+class Rows:
+    """A G-set action on point indices.
 
-    A verified G-set (``from_point_action`` with ``verify=True``) holds one
-    point-index table per group element, |G|·|X| entries in all, built
-    while checking the action axioms; ``act``, ``act_index`` and ``table``
-    read them.  Unverified composites (products, disjoint unions,
-    restrictions) stay lazy and call their action function, which reads
-    the tables of their verified components; a product's point count is
-    the product of its factors', so tabulating it would cost more than it
-    saves.
+    ``row(gset, k)`` returns the image index of every point of gset, in
+    point order, under the group element with index k.  ``image(gset, k,
+    idx)`` returns one entry of that row; when omitted it reads the row.
+    Lazy composites give it so that a stabilizer sweep costs one index
+    computation per element instead of one row.
+    """
+
+    __slots__ = ("row", "image")
+
+    def __init__(self, row, image=None):
+        self.row = row
+        self.image = image if image is not None else (lambda gset, k, idx: row(gset, k)[idx])
+
+
+def _pointwise(act_fn) -> Rows:
+    """Adapt an action on point objects, act_fn(g, point) -> point, to rows."""
+
+    def row(gset, k):
+        g = gset.group.elements[k]
+        points, index = gset.points, gset._index
+        out = [index.get(act_fn(g, p), -1) for p in points]
+        if -1 in out:
+            p = points[out.index(-1)]
+            raise ValueError(
+                f"action leaves the point set in {gset.label}: "
+                f"({g}) sends {p!r} to {act_fn(g, p)!r}"
+            )
+        return out
+
+    def image(gset, k, idx):
+        return gset._index[act_fn(gset.group.elements[k], gset.points[idx])]
+
+    return Rows(row, image)
+
+
+class GSet:
+    """A finite G-set: an indexed point list plus an action given as rows.
+
+    Row k lists the image index of every point under the group element
+    with index k (see `Rows`); a pointwise action function is adapted onto
+    rows.  A verified G-set (``from_point_action`` with ``verify=True``)
+    evaluates the row of every element, checks the action axioms on them
+    and stores them, |G|·|X| entries in all, so ``row``, ``act``,
+    ``act_index`` and ``table`` are list lookups.  Unverified composites
+    (products, disjoint unions, restrictions) take their axioms from their
+    verified parents and stay lazy: each row or single image is computed
+    from the parents' rows when asked for.  A product's point count is the
+    product of its factors', so storing its rows would cost more than the
+    few orbit and stabilizer queries it answers.
     """
 
     def __init__(self, group: PermGroup, points, act_fn, label: str = "gset"):
@@ -534,8 +614,8 @@ class GSet:
         self._index = {p: k for k, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise ValueError(f"duplicate points in {label}")
-        self._act_fn = act_fn
-        # one point-index table per group element index, once verified
+        self._rule = act_fn if isinstance(act_fn, Rows) else _pointwise(act_fn)
+        # the rows of every group element, once verified
         self._tables: list[list[int]] | None = None
 
     @classmethod
@@ -548,7 +628,10 @@ class GSet:
         verify: bool = True,
         point_cap: int = DEFAULT_POINT_CAP,
     ) -> GSet:
-        points = list(points)
+        """Build a G-set from its points and its action, either `Rows` or a
+        pointwise act_fn(g, point) -> point.  Points may be a generator: at
+        most point_cap + 1 are drawn from it before the cap is enforced."""
+        points = list(itertools.islice(points, point_cap + 1))
         if len(points) > point_cap:
             raise CapExceeded("point-count", point_cap, label)
         gset = cls(group, points, act_fn, label=label)
@@ -563,74 +646,76 @@ class GSet:
     def index_of(self, point) -> int:
         return self._index[point]
 
+    def row(self, k: int) -> list[int]:
+        """Image indices of all points under the element with index k:
+        stored when verified, computed from the parents' rows otherwise."""
+        if self._tables is not None:
+            return self._tables[k]
+        return self._rule.row(self, k)
+
+    def _image(self, k: int, idx: int) -> int:
+        """Index of the image of point idx under the element with index k."""
+        if self._tables is not None:
+            return self._tables[k][idx]
+        return self._rule.image(self, k, idx)
+
     def act(self, g: Permutation, point):
         """Apply one group element to one point."""
-        if self._tables is None:
-            return self._act_fn(g, point)
-        return self.points[self._tables[self.group.index_of(g)][self._index[point]]]
+        return self.points[self._image(self.group.index_of(g), self._index[point])]
 
     def act_index(self, g: Permutation, idx: int) -> int:
-        return self._index_map(g)(idx)
+        return self._image(self.group.index_of(g), idx)
 
     def table(self, g: Permutation) -> list[int]:
-        """Point-index table of one element: stored when verified, computed
-        from the action function otherwise."""
-        if self._tables is not None:
-            return self._tables[self.group.index_of(g)]
-        return list(map(self._index_map(g), range(self.size)))
-
-    def _index_map(self, g: Permutation):
-        """The map idx -> index of g·points[idx]: a stored-table lookup when
-        verified, one action-function call per index otherwise."""
-        if self._tables is not None:
-            return self._tables[self.group.index_of(g)].__getitem__
-        index, act_fn, points = self._index, self._act_fn, self.points
-        return lambda idx: index[act_fn(g, points[idx])]
+        """Point-index table of one element: its row."""
+        return self.row(self.group.index_of(g))
 
     def _stabilizer_members(self, idx: int) -> list[Permutation]:
         """The group elements fixing the point with index idx."""
         elements = self.group.elements
         if self._tables is not None:
             return [g for g, t in zip(elements, self._tables) if t[idx] == idx]
-        point = self.points[idx]
-        act_fn = self._act_fn
-        return [g for g in elements if act_fn(g, point) == point]
+        image = self._image
+        return [g for k, g in enumerate(elements) if image(k, idx) == idx]
 
     def _verify_action(self):
-        """Tabulate the action, one act_fn call per (element, point), and
-        check the axioms on the tables: every image lies in the point set,
-        the identity fixes everything, and T_{s·g} = T_s ∘ T_g for every
-        generator s and every group element g.  The general axiom
+        """Evaluate the row of every element and check the axioms on the
+        rows: each has one entry per point and every entry indexes a
+        point, the identity fixes everything, and T_{s·g} = T_s ∘ T_g for
+        every generator s and every group element g (the index of s·g is
+        read from the group's cached left multiples).  The general axiom
         T_{gh} = T_g ∘ T_h follows by induction on the word length of g in
         the generators."""
         group = self.group
-        entries = group.order * self.size
-        if entries > TABLE_CAP:
+        n = self.size
+        if group.order * n > TABLE_CAP:
             raise CapExceeded("table-entries", TABLE_CAP, self.label)
-        points, index, act_fn = self.points, self._index, self._act_fn
-        tables = []
-        for g in group.elements:
-            row = [index.get(act_fn(g, p), -1) for p in points]
-            if -1 in row:
-                p = points[row.index(-1)]
+        points, row, elements = self.points, self._rule.row, group.elements
+        tables = [row(self, k) for k in range(group.order)]
+        for g, t in zip(elements, tables):
+            if len(t) != n:
+                raise ValueError(
+                    f"action row of ({g}) has {len(t)} entries for {n} points in {self.label}"
+                )
+            if n and (min(t) < 0 or max(t) >= n):
+                k = next(k for k, v in enumerate(t) if not 0 <= v < n)
                 raise ValueError(
                     f"action leaves the point set in {self.label}: "
-                    f"({g}) sends {p!r} to {act_fn(g, p)!r}"
+                    f"({g}) sends {points[k]!r} to index {t[k]}"
                 )
-            tables.append(row)
         ident = tables[group.index_of(group.identity)]
         for k, v in enumerate(ident):
             if v != k:
                 raise ValueError(f"identity moves point {points[k]!r} in {self.label}")
-        for s in group.generators():
-            ts = tables[group.index_of(s)]
+        for si, left in group.left_multiples():
+            ts = tables[si]
             lookup = ts.__getitem__
-            for g, tg in zip(group.elements, tables):
-                tsg = tables[group.index_of(s * g)]
+            for g, tg, sg in zip(elements, tables, left):
+                tsg = tables[sg]
                 if tsg != list(map(lookup, tg)):
                     k = next(k for k, x in enumerate(tg) if tsg[k] != ts[x])
                     raise ValueError(
-                        f"action axiom fails in {self.label}: ({s})*({g}) on "
+                        f"action axiom fails in {self.label}: ({elements[si]})*({g}) on "
                         f"{points[k]!r}: {points[tsg[k]]!r} != {points[ts[tg[k]]]!r}"
                     )
         self._tables = tables
@@ -640,49 +725,63 @@ class GSet:
 
 
 def natural_gset(group: PermGroup) -> GSet:
-    """The defining action on {1..degree}."""
+    """The defining action on {1..degree}; point p has index p - 1."""
+    elements = group.elements
     return GSet.from_point_action(
         group,
         range(1, group.degree + 1),
-        lambda g, p: g(p),
+        Rows(lambda gset, k: [p - 1 for p in elements[k].images]),
         label=f"natural({{1..{group.degree}}})",
     )
 
 
 def trivial_gset(group: PermGroup) -> GSet:
-    return GSet.from_point_action(group, ["*"], lambda g, p: p, label="one-point")
+    return GSet.from_point_action(group, ["*"], Rows(lambda gset, k: [0]), label="one-point")
 
 
 def empty_gset(group: PermGroup) -> GSet:
-    return GSet.from_point_action(group, [], lambda g, p: p, label="empty")
+    return GSet.from_point_action(group, [], Rows(lambda gset, k: []), label="empty")
 
 
 def product_gset(s: GSet, t: GSet) -> GSet:
-    """Cartesian product with the diagonal action.  The action map is built
-    from the two verified component actions, so the axioms hold by
-    construction and are not re-verified."""
+    """Cartesian product with the diagonal action; the pair of point
+    indices (a, b) has index a·|t| + b.  Built from the two verified
+    component actions, so the axioms hold by construction and are not
+    re-verified."""
     if s.group is not t.group and s.group != t.group:
         raise ValueError("product requires the same group")
     points = [(p, q) for p in s.points for q in t.points]
-    act = lambda g, pq: (s.act(g, pq[0]), t.act(g, pq[1]))
+    nt = t.size
+
+    def row(gset, k):
+        rt = t.row(k)
+        return [a + b for a in [x * nt for x in s.row(k)] for b in rt]
+
+    def image(gset, k, idx):
+        a, b = divmod(idx, nt)
+        return s._image(k, a) * nt + t._image(k, b)
+
     return GSet.from_point_action(
-        s.group, points, act, label=f"({s.label}) x ({t.label})", verify=False
+        s.group, points, Rows(row, image), label=f"({s.label}) x ({t.label})", verify=False
     )
 
 
 def disjoint_union(s: GSet, t: GSet) -> GSet:
-    """Disjoint union with componentwise action; axioms inherited from the
-    verified components, so not re-verified."""
+    """Disjoint union with componentwise action, t's points after s's;
+    axioms inherited from the verified components, so not re-verified."""
     if s.group is not t.group and s.group != t.group:
         raise ValueError("disjoint union requires the same group")
     points = [(0, p) for p in s.points] + [(1, q) for q in t.points]
+    ns = s.size
 
-    def act(g, tagged):
-        tag, p = tagged
-        return (tag, (s if tag == 0 else t).act(g, p))
+    def row(gset, k):
+        return s.row(k) + [ns + x for x in t.row(k)]
+
+    def image(gset, k, idx):
+        return s._image(k, idx) if idx < ns else ns + t._image(k, idx - ns)
 
     return GSet.from_point_action(
-        s.group, points, act, label=f"({s.label}) + ({t.label})", verify=False
+        s.group, points, Rows(row, image), label=f"({s.label}) + ({t.label})", verify=False
     )
 
 
@@ -693,13 +792,14 @@ def symmetric_power(s: GSet, i: int, point_cap: int = DEFAULT_POINT_CAP) -> GSet
         raise ValueError(f"power must be >= 0, got {i}")
     points = itertools.combinations_with_replacement(range(s.size), i)
 
-    def act(g, multiset):
-        return tuple(sorted(map(s._index_map(g), multiset)))
+    def row(gset, k):
+        get, index = s.row(k).__getitem__, gset._index
+        return [index[tuple(sorted(map(get, m)))] for m in gset.points]
 
     return GSet.from_point_action(
         s.group,
         points,
-        act,
+        Rows(row),
         label=f"sym^{i}({s.label})",
         point_cap=point_cap,
     )
@@ -708,7 +808,9 @@ def symmetric_power(s: GSet, i: int, point_cap: int = DEFAULT_POINT_CAP) -> GSet
 def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
     """The G-set of tuples of pairwise disjoint subsets of s with block j of
     size mu_j.  Blocks are ordered (tuples, not sets of blocks); each block
-    is a sorted tuple of point indices.  Empty when weight(mu) > |s|."""
+    is a sorted tuple of point indices.  Empty when weight(mu) > |s|.
+    An element's row moves each distinct block once, then maps every point
+    block by block."""
     mu = Partition(mu)
 
     def tuples(remaining, parts):
@@ -722,16 +824,23 @@ def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
                 yield (block,) + suffix
 
     points = tuples(list(range(s.size)), tuple(mu)) if mu.weight <= s.size else []
+    # the distinct blocks of the points kept under the cap, collected by the
+    # first row evaluated
+    blocks: list[tuple[int, ...]] = []
 
-    def act(g, blocks):
-        move = s._index_map(g)
-        return tuple(tuple(sorted(map(move, block))) for block in blocks)
+    def row(gset, k):
+        if not blocks:
+            blocks.extend({block: None for point in gset.points for block in point})
+        get = s.row(k).__getitem__
+        moved = {block: tuple(sorted(map(get, block))) for block in blocks}.__getitem__
+        index = gset._index
+        return [index[tuple(map(moved, point))] for point in gset.points]
 
     body = ",".join(str(p) for p in mu)
     return GSet.from_point_action(
         s.group,
         points,
-        act,
+        Rows(row),
         label=f"P_({body})({s.label})",
         point_cap=point_cap,
     )
@@ -1047,58 +1156,67 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
         for image in phi.values():
             if image not in s.group:
                 raise ValueError(f"image {image} is not in the acting group")
+    # element index in h -> element index of its image in s's group
+    phi_index = [s.group.index_of(phi[g]) for g in h.elements]
+    rows = Rows(
+        lambda gset, k: s.row(phi_index[k]),
+        lambda gset, k, idx: s._image(phi_index[k], idx),
+    )
     return GSet.from_point_action(
-        h,
-        s.points,
-        lambda g, p: s.act(phi[g], p),
-        label=f"res({s.label})",
-        verify=False,
+        h, s.points, rows, label=f"res({s.label})", verify=False
     )
 
 
 def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
     """Induce an H-set up to a supergroup: points are (transversal index,
-    point) pairs, and g sends (g_i, x) to (g_j, h·x) where g·g_i = g_j·h."""
+    point) pairs, and g sends (g_i, x) to (g_j, h·x) where g·g_i = g_j·h.
+    The pair (j, x) has index j·|s| + index of x, so g's row is, for each
+    transversal index i, s's row of h shifted by j·|s|: one product g·g_i
+    per (element, transversal index), and none per point."""
     h = s.group
     for g in h.elements:
         if g not in group:
             raise ValueError("the acting group of s is not a subgroup")
-    members = set(h.elements)
-    side = {}
-    reps = []
+    index = group._index
+    # element index in group -> (j, k) where the element is g_j times
+    # element k of s's group
+    split: list[tuple[int, int] | None] = [None] * group.order
     if coset_reps is None:
-        for g in group.elements:
-            if g not in side:
+        reps = []
+        for i, g in enumerate(group.elements):
+            if split[i] is None:
                 j = len(reps)
                 reps.append(g)
-                for m in members:
-                    side[g * m] = j
+                for hk, m in enumerate(h.elements):
+                    split[index[g * m]] = (j, hk)
     else:
         reps = [g if isinstance(g, Permutation) else parse_permutation(g, group.degree) for g in coset_reps]
         for j, g in enumerate(reps):
             if g not in group:
                 raise ValueError(f"transversal element {g} is not in the group")
-            for m in members:
-                gm = g * m
-                if gm in side:
+            for hk, m in enumerate(h.elements):
+                gm = index[g * m]
+                if split[gm] is not None:
                     raise ValueError(
-                        f"invalid transversal: {reps[side[gm]]} and {g} share a coset"
+                        f"invalid transversal: {reps[split[gm][0]]} and {g} share a coset"
                     )
-                side[gm] = j
-        if len(side) != group.order:
+                split[gm] = (j, hk)
+        if None in split:
             raise ValueError("invalid transversal: cosets do not cover the group")
-    rep_inverse = [g.inverse() for g in reps]
     points = [(j, p) for j in range(len(reps)) for p in s.points]
+    elements, nx = group.elements, s.size
 
-    def act(g, point):
-        j, p = point
-        moved = g * reps[j]
-        j2 = side[moved]
-        hh = rep_inverse[j2] * moved
-        return (j2, s.act(hh, p))
+    def row(gset, k):
+        g = elements[k]
+        out = []
+        for rep in reps:
+            j2, hk = split[index[g * rep]]
+            base = j2 * nx
+            out += [base + v for v in s.row(hk)]
+        return out
 
     return GSet.from_point_action(
-        group, points, act, label=f"ind({s.label})"
+        group, points, Rows(row), label=f"ind({s.label})"
     )
 
 

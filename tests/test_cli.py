@@ -211,8 +211,9 @@ def test_tall_sigma_finishes():
     assert points == comb(121, 120)
 
 
-def test_structured_mode_renders_no_text(capsys, monkeypatch):
+def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):
     from burnside import cli
+    from burnside.engine import BurnsideElement
     from burnside.schur import SchurElement
 
     def refuse(*args):
@@ -220,8 +221,13 @@ def test_structured_mode_renders_no_text(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "format_partition", refuse)
     monkeypatch.setattr(SchurElement, "render", refuse)
+    monkeypatch.setattr(BurnsideElement, "render", refuse)
+    group = tmp_path / "s3.grp"
+    group.write_text("(1 2)\n(1 2 3)\n")
     for argv in (["marks", "--n", "5"], ["lambda", "--n", "4", "--i", "2", "--method", "both"],
-                 ["sigma", "--n", "3", "--i", "4"], ["mul", "--n", "4", "--a", "[2,2]", "--b", "[3,1]"]):
+                 ["sigma", "--n", "3", "--i", "4"], ["mul", "--n", "4", "--a", "[2,2]", "--b", "[3,1]"],
+                 ["oracle", "--group", str(group), "--i", "2", "--action", "doubled"],
+                 ["indres", "--i", "2", "--n", "3"]):
         code, out = run(capsys, *argv, "--format", "structured")
         assert code == 0
         assert json.loads(out)["status"] == "ok"

@@ -5,8 +5,12 @@ lean on definitional facts checked by hand (orbit-counting, conjugacy of
 stabilizers along an orbit, coset counts) and on tiny worked examples.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,7 @@ from burnside.engine import (
     verify_lemma74,
     young_subgroup,
 )
+from burnside.partitions import enumerate_partitions
 from burnside.schur import basis_element, closed_lambda, schur_mul, sigma
 
 from test_schur import random_elements
@@ -593,3 +598,176 @@ def test_table_cap(monkeypatch):
         natural_gset(group)
     assert exc.value.kind == "table-entries"
     assert exc.value.cap == 17
+
+
+# ------------------------------------------------------- rows by definition
+#
+# Every construction computes its rows from its parents' rows.  These tests
+# write each action out pointwise, on point objects, and compare it with
+# every stored or lazy row of every group element.
+
+
+def _natural_image(g, point):
+    """The natural action, or the tagged one on a disjoint union of two
+    natural sets."""
+    return (point[0], g(point[1])) if isinstance(point, tuple) else g(point)
+
+
+def _rows_match(gset, image):
+    """gset's row of every element equals image(g, point) on every point,
+    and so does each single lazy image."""
+    for k, g in enumerate(gset.group.elements):
+        expected = [gset.index_of(image(g, p)) for p in gset.points]
+        assert gset.row(k) == expected, (gset.label, str(g))
+        assert gset.table(g) == expected
+        assert [gset.act_index(g, idx) for idx in range(gset.size)] == expected
+
+
+ROW_CASES = [
+    ("S4", symmetric_group(4), False),
+    ("S4-doubled", symmetric_group(4), True),
+    ("D5", dihedral_group(5), False),
+    ("D5-doubled", dihedral_group(5), True),
+]
+
+
+def _base(group, doubled):
+    nat = natural_gset(group)
+    return disjoint_union(nat, nat) if doubled else nat
+
+
+@pytest.mark.parametrize("group, doubled", [c[1:] for c in ROW_CASES], ids=[c[0] for c in ROW_CASES])
+def test_power_and_block_rows_match_definitions(group, doubled):
+    base = _base(group, doubled)
+    _rows_match(base, _natural_image)
+
+    def move(g, x):
+        return base.index_of(_natural_image(g, base.points[x]))
+
+    keys = set()
+    for i in range(4):
+        power = symmetric_power(base, i)
+        _rows_match(power, lambda g, m: tuple(sorted(move(g, x) for x in m)))
+        keys |= set(decompose(power).coeffs)
+        for mu in enumerate_partitions(i) if i else []:
+            blocks = p_mu_gset(base, mu)
+            _rows_match(
+                blocks,
+                lambda g, point: tuple(tuple(sorted(move(g, x) for x in b)) for b in point),
+            )
+            keys |= set(decompose(blocks).coeffs)
+    pair = product_gset(base, natural_gset(group))
+    _rows_match(pair, lambda g, pq: (_natural_image(g, pq[0]), g(pq[1])))
+    keys |= set(decompose(pair).coeffs)
+    # a coset space's point is a coset C, sent by g to gC
+    elements = group.elements
+    for key in sorted(keys):
+        space = group.coset_space(key)
+        _rows_match(
+            space, lambda g, coset: frozenset(group.index_of(g * elements[c]) for c in coset)
+        )
+
+
+def _point_stabilizer(group):
+    return PermGroup(group.degree, [g for g in group.elements if g(1) == 1])
+
+
+@pytest.mark.parametrize("group, doubled", [c[1:] for c in ROW_CASES], ids=[c[0] for c in ROW_CASES])
+def test_restrict_and_induce_rows_match_definitions(group, doubled):
+    base = _base(group, doubled)
+    h = _point_stabilizer(group)
+    # restriction along the inclusion: the parent's row at the same element
+    down = restrict(base, h)
+    for k, g in enumerate(h.elements):
+        assert down.row(k) == base.row(group.index_of(g))
+    _rows_match(down, _natural_image)
+
+    # the default transversal: the first element of each left coset gH
+    default = []
+    covered = set()
+    for g in group.elements:
+        if g not in covered:
+            default.append(g)
+            covered |= {g * m for m in h.elements}
+    other = h.elements[-1]
+    for reps, given in ((default, None), ([r * other for r in default], [r * other for r in default])):
+        up = induce(down, group, coset_reps=given)
+        assert up.size == len(reps) * down.size
+
+        def image(g, point):
+            j, x = point
+            moved = g * reps[j]
+            (j2,) = [j2 for j2, r in enumerate(reps) if r.inverse() * moved in h]
+            return (j2, _natural_image(reps[j2].inverse() * moved, x))
+
+        _rows_match(up, image)
+
+
+def test_restrict_rows_along_a_projection():
+    h = young_subgroup(2, 4)
+    images = {g: Permutation(g(p) for p in (1, 2)) for g in h.generators()}
+    small = natural_gset(symmetric_group(2))
+    pulled = restrict(small, h, images)
+    # h acts through its action on the block {1, 2}
+    _rows_match(pulled, lambda g, p: g(p))
+    for k, g in enumerate(h.elements):
+        phi = Permutation(g(p) for p in (1, 2))
+        assert pulled.row(k) == small.row(symmetric_group(2).index_of(phi))
+
+
+def test_wrong_row_on_one_non_generator_is_rejected():
+    group = symmetric_group(4)
+    bad = max(group.elements, key=lambda g: len(group.word(g)))
+    assert bad not in group.generators() and bad != group.identity
+    bad_k = group.index_of(bad)
+    elements = group.elements
+
+    def row(gset, k):
+        return [0, 1, 2, 3] if k == bad_k else [p - 1 for p in elements[k].images]
+
+    with pytest.raises(ValueError, match="action axiom"):
+        GSet.from_point_action(group, [1, 2, 3, 4], engine.Rows(row))
+    # the same rule with the true row everywhere is accepted
+    good = GSet.from_point_action(
+        group, [1, 2, 3, 4], engine.Rows(lambda gset, k: [p - 1 for p in elements[k].images])
+    )
+    assert good.row(bad_k) == [p - 1 for p in bad.images]
+
+
+@pytest.mark.parametrize("outside", [3, -1])
+def test_row_index_outside_the_point_set_is_rejected(outside):
+    group = symmetric_group(3)
+    moved = group.index_of(parse_permutation("(1 2)", 3))
+    elements = group.elements
+
+    def row(gset, k):
+        images = [p - 1 for p in elements[k].images]
+        if k == moved:
+            images[2] = outside
+        return images
+
+    with pytest.raises(ValueError, match="leaves the point set"):
+        GSet.from_point_action(group, [1, 2, 3], engine.Rows(row))
+
+
+def test_point_cap_stops_generation():
+    # 30^6 ordered 6-tuples of distinct points and C(37, 8) multisets: the
+    # cap must stop the enumeration, not only reject its result
+    script = (
+        "from burnside.engine import CapExceeded, cyclic_group, natural_gset, p_mu_gset, symmetric_power\n"
+        "nat = natural_gset(cyclic_group(30))\n"
+        "for build in (lambda: p_mu_gset(nat, (1,) * 6, point_cap=1000),\n"
+        "              lambda: symmetric_power(nat, 8, point_cap=1000)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except CapExceeded as exc:\n"
+        "        print(exc.kind, exc.cap, exc.construction)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "point-count 1000 P_(1,1,1,1,1,1)(natural({1..30}))",
+        "point-count 1000 sym^8(natural({1..30}))",
+    ]
