@@ -26,9 +26,9 @@ parents' rows by index arithmetic:
 No group element acts on a point object.  A pointwise action function
 given by a caller is adapted onto the same rows.
 
-Verified G-sets (the natural, one-point and empty sets, symmetric powers,
-block tuples, coset spaces, induced sets and, by default, sets built from
-a caller's action) evaluate the row of every element and store the rows,
+Verified G-sets (natural sets, symmetric powers, block tuples, coset
+spaces, induced sets and, by default, sets built from a caller's
+action) evaluate the row of every element and store the rows,
 |G|·|X| entries, so every later application is a list lookup.  Verification
 checks that every row has one entry per point and every entry indexes a
 point, that the identity's row fixes every point, and that
@@ -43,6 +43,10 @@ permutations skip the bijection check, which only outside input needs.
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
 naming the offending construction instead of truncating silently.
+
+`BurnsideElement`'s additive arithmetic, the λ recursion and the closed
+signed sum are shared with the Schur side in `ring.py`; this module gives
+the product (`burnside_mul`), the symmetric powers and the P_mu sets.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ import itertools
 import os
 import re
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
-from .partitions import Partition, TheoremViolation, enumerate_partitions, multinomial
-from .schur import SchurElement
+from .partitions import Partition, enumerate_partitions, pad
+from .ring import Combination, closed_terms, recursion_step
+from .schur import SchurElement, _points
 
 DEFAULT_GROUP_CAP = 10080
 GROUP_CAP_ENV = "BURNSIDE_GROUP_CAP"
@@ -287,7 +292,6 @@ class PermGroup:
         if self.identity not in self._index:
             raise ValueError("element set lacks the identity")
         self._gens = tuple(generators) if generators is not None else None
-        self._words: dict[Permutation, tuple[int, ...]] | None = None
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
         self._coset_cache: dict[tuple[int, ...], GSet] = {}
         self._class_product_cache: dict[tuple, dict] = {}
@@ -344,26 +348,6 @@ class PermGroup:
                 (index[s], [index[s * g] for g in elements]) for s in self.generators()
             ]
         return self._left_multiples
-
-    def word(self, g: Permutation) -> tuple[int, ...]:
-        """g as a product of generators, left to right, by generator index."""
-        if self._words is None:
-            gens = self.generators()
-            words = {self.identity: ()}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for cur in frontier:
-                    for gi, s in enumerate(gens):
-                        new = cur * s
-                        if new not in words:
-                            words[new] = words[cur] + (gi,)
-                            nxt.append(new)
-                frontier = nxt
-            if len(words) != self.order:
-                raise ValueError("generators do not generate the whole group")
-            self._words = words
-        return self._words[g]
 
     def canonical_key(self, subgroup_elements) -> tuple[int, ...]:
         """Conjugation-invariant fingerprint of a subgroup: the lexicographic
@@ -735,14 +719,6 @@ def natural_gset(group: PermGroup) -> GSet:
     )
 
 
-def trivial_gset(group: PermGroup) -> GSet:
-    return GSet.from_point_action(group, ["*"], Rows(lambda gset, k: [0]), label="one-point")
-
-
-def empty_gset(group: PermGroup) -> GSet:
-    return GSet.from_point_action(group, [], Rows(lambda gset, k: []), label="empty")
-
-
 def product_gset(s: GSet, t: GSet) -> GSet:
     """Cartesian product with the diagonal action; the pair of point
     indices (a, b) has index a·|t| + b.  Built from the two verified
@@ -836,14 +812,17 @@ def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
         index = gset._index
         return [index[tuple(map(moved, point))] for point in gset.points]
 
-    body = ",".join(str(p) for p in mu)
     return GSet.from_point_action(
         s.group,
         points,
         Rows(row),
-        label=f"P_({body})({s.label})",
+        label=_p_mu_label(mu, s),
         point_cap=point_cap,
     )
+
+
+def _p_mu_label(mu, s: GSet) -> str:
+    return "P_(" + ",".join(str(p) for p in mu) + f")({s.label})"
 
 
 def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
@@ -876,23 +855,20 @@ def stabilizer(s: GSet, point, group: PermGroup | None = None) -> PermGroup:
     return PermGroup(group.degree, s._stabilizer_members(s.index_of(point)))
 
 
-def fixed_point_count(s: GSet, g: Permutation) -> int:
-    table = s.table(g)
-    return sum(1 for k, v in enumerate(table) if k == v)
-
-
 def _resolve_group(s: GSet, group: PermGroup | None) -> PermGroup:
     if group is not None and group != s.group:
         raise ValueError("group does not match the G-set's group")
     return s.group
 
 
-class BurnsideElement:
+class BurnsideElement(Combination):
     """An integer combination of transitive G-set classes for a fixed group,
-    keyed by canonical stabilizer fingerprints.  Immutable in use; zero
-    coefficients are dropped."""
+    keyed by canonical stabilizer fingerprints.  Immutable; zero
+    coefficients are dropped (`ring.Combination`); the product is
+    `burnside_mul`."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ()
+    _MISMATCH = "group mismatch"
 
     def __init__(self, group: PermGroup, coeffs=None):
         clean = {}
@@ -903,19 +879,20 @@ class BurnsideElement:
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
-        self.group = group
-        self.coeffs = clean
+        object.__setattr__(self, "base", group)
+        object.__setattr__(self, "coeffs", clean)
+
+    @property
+    def group(self) -> PermGroup:
+        return self.base
 
     @classmethod
     def zero(cls, group: PermGroup) -> BurnsideElement:
-        return cls(group, {})
+        return cls._trusted(group, {})
 
     @classmethod
     def one(cls, group: PermGroup) -> BurnsideElement:
-        return cls(group, {tuple(range(group.order)): 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls._trusted(group, {tuple(range(group.order)): 1})
 
     def terms(self) -> list[tuple[tuple, int]]:
         """(key, coefficient) sorted by descending stabilizer order, then
@@ -925,48 +902,8 @@ class BurnsideElement:
             for key in sorted(self.coeffs, key=lambda k: (-len(k), k))
         ]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BurnsideElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group, frozenset(self.coeffs.items())))
-
-    def _check(self, other):
-        if not isinstance(other, BurnsideElement):
-            raise TypeError(f"expected BurnsideElement, got {type(other).__name__}")
-        if self.group != other.group:
-            raise ValueError("group mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BurnsideElement(self.group, out)
-
-    def __neg__(self):
-        return BurnsideElement(self.group, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BurnsideElement(
-                self.group, {k: c * other for k, c in self.coeffs.items()}
-            )
-        if isinstance(other, BurnsideElement):
-            return burnside_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    def _product(self, other):
+        return burnside_mul(self, other)
 
     def cardinality(self) -> int:
         order = self.group.order
@@ -1022,7 +959,7 @@ def decompose(s: GSet, group: PermGroup | None = None) -> BurnsideElement:
     for orbit in orbits(s):
         key = group.canonical_key(s._stabilizer_members(orbit[0]))
         coeffs[key] = coeffs.get(key, 0) + 1
-    return BurnsideElement(group, coeffs)
+    return BurnsideElement._trusted(group, coeffs)
 
 
 def burnside_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
@@ -1043,39 +980,34 @@ def burnside_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
             c = c1 * c2
             for key, mult in hit.items():
                 out[key] = out.get(key, 0) + c * mult
-    return BurnsideElement(group, out)
+    return BurnsideElement._trusted(group, out)
 
 
 def lambda_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElement:
     """Exterior-power classes of an arbitrary G-set via the recursion
-    opposite to the symmetric powers, entirely inside the engine: symmetric
-    powers are decomposed by brute force and multiplied in the transitive
-    basis.  Vanishing above |s| is a theorem, so it is checked, not
-    assumed: a nonzero value there raises TheoremViolation."""
+    opposite to the symmetric powers (`ring.recursion_step`), entirely
+    inside the engine: symmetric powers are decomposed by brute force and
+    multiplied in the transitive basis.  Vanishing above |s| is a theorem,
+    so it is checked, not assumed: a nonzero value there raises
+    TheoremViolation."""
     group = _resolve_group(s, group)
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    sig = [BurnsideElement.one(group)]
+    one = BurnsideElement.one(group)
+    sig = [one] + [decompose(symmetric_power(s, m)) for m in range(1, i + 1)]
+    lam = [one]
+    where = f"of {s.label} (size {s.size})"
     for m in range(1, i + 1):
-        sig.append(decompose(symmetric_power(s, m)))
-    lam = [BurnsideElement.one(group)]
-    for m in range(1, i + 1):
-        total = BurnsideElement.zero(group)
-        for j in range(m):
-            term = lam[j] * sig[m - j]
-            total = total + (term if j % 2 == 0 else -term)
-        value = total if m % 2 == 1 else -total
-        if m > s.size and not value.is_zero():
-            raise TheoremViolation(
-                f"lambda^{m} of {s.label} (size {s.size}) must vanish"
-            )
-        lam.append(value)
+        lam.append(recursion_step(m, s.size, lam.__getitem__, sig.__getitem__, where))
     return lam[i]
 
 
 def eq6_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElement:
-    """Exterior-power classes by the closed signed sum over partitions:
-    (-1)^i sum over mu |- i of (-1)^len(mu) multinomial(mu) [P_mu(s)]."""
+    """Exterior-power classes by the closed signed sum over the classes of
+    the block-tuple sets P_mu(s), mu a partition of i (`ring.closed_terms`).
+    |P_mu(s)| = |s|!/(prod mu_j! (|s| - i)!) is checked against the point
+    and then the table cap for every mu before any P_mu(s) is built, so an
+    over-cap input fails at once, with the first over-cap build's error."""
     group = _resolve_group(s, group)
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
@@ -1083,10 +1015,16 @@ def eq6_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElem
         return BurnsideElement.one(group)
     if i > s.size:
         return BurnsideElement.zero(group)
+    terms = list(closed_terms(i))
+    for mu, _ in terms:
+        points = _points(pad(mu, s.size))
+        if points > DEFAULT_POINT_CAP:
+            raise CapExceeded("point-count", DEFAULT_POINT_CAP, _p_mu_label(mu, s))
+        if group.order * points > TABLE_CAP:
+            raise CapExceeded("table-entries", TABLE_CAP, _p_mu_label(mu, s))
     total = BurnsideElement.zero(group)
-    for mu in enumerate_partitions(i):
-        sign = -1 if (i + mu.length) % 2 else 1
-        total = total + decompose(p_mu_gset(s, mu)) * (sign * multinomial(mu))
+    for mu, c in terms:
+        total = total + decompose(p_mu_gset(s, mu)) * c
     return total
 
 
@@ -1243,9 +1181,7 @@ def verify_lemma74(mu, i: int, n: int) -> dict:
     big_group = symmetric_group(n)
     induced = induce(restricted, big_group)
     target = p_mu_gset(natural_gset(big_group), mu)
-    expected_size = factorial(n) // (
-        prod(factorial(p) for p in mu) * factorial(n - i)
-    )
+    expected_size = _points(pad(mu, n))
     lhs = decompose(induced)
     rhs = decompose(target)
     return {

@@ -27,10 +27,14 @@ The public constructor `SchurElement(n, coeffs)` checks every key (a
 partition of n) and coefficient, and so do `basis_element`, `degree` and
 `leading_term_check` on their arguments.  The elements the library builds
 from keys it already holds (sums, differences, negations, integer
-multiples, `schur_mul`, `sigma`, both lambdas, `one` and `zero`) skip those
+multiples, `schur_mul`, `sigma`, both lambdas and `one`) skip those
 checks through `SchurElement._trusted`, which only drops zero
 coefficients, because equality compares the coefficient maps.  Every
 `TheoremViolation` check stays.
+
+The additive arithmetic of elements, the λ recursion and the closed signed
+sum are shared with the engine in `ring.py`; this module gives the
+product, σ and the padding of the closed sum's keys to ambient n.
 """
 
 from __future__ import annotations
@@ -38,25 +42,20 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
-from .partitions import (
-    Partition,
-    TheoremViolation,
-    alpha,
-    enumerate_partitions,
-    format_partition,
-    multinomial,
-    pad,
-)
+from .partitions import Partition, alpha, enumerate_partitions, pad
+from .ring import Combination, closed_terms, recursion_step
 
 
-class SchurElement:
+class SchurElement(Combination):
     """An integer linear combination of basis classes for a fixed ambient n.
 
     Immutable; zero coefficients are never stored, so equality is plain
-    comparison of the ambient and the coefficient map.
+    comparison of the ambient and the coefficient map (`ring.Combination`);
+    the product is `schur_mul`.
     """
 
-    __slots__ = ("ambient", "coeffs")
+    __slots__ = ()
+    _MISMATCH = "ambient mismatch: n={} vs n={}"
 
     def __init__(self, ambient: int, coeffs=None):
         if ambient < 1:
@@ -71,27 +70,16 @@ class SchurElement:
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
-        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "base", ambient)
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def _trusted(cls, ambient: int, coeffs: dict) -> SchurElement:
-        """Wrap coefficients whose keys are already partitions of `ambient`
-        and whose values are ints, such as an arithmetic result; only the
-        zero coefficients are dropped."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "ambient", ambient)
-        object.__setattr__(element, "coeffs", {k: c for k, c in coeffs.items() if c})
-        return element
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchurElement is immutable")
+    @property
+    def ambient(self) -> int:
+        return self.base
 
     @classmethod
     def zero(cls, n: int) -> SchurElement:
-        if n < 1:
-            raise ValueError(f"ambient must be >= 1, got {n}")
-        return cls._trusted(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n: int) -> SchurElement:
@@ -100,53 +88,12 @@ class SchurElement:
             raise ValueError(f"ambient must be >= 1, got {n}")
         return cls._trusted(n, {Partition._trusted((n,)): 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def terms(self) -> list[tuple[Partition, int]]:
         """(key, coefficient) pairs in descending lexicographic key order."""
         return [(mu, self.coeffs[mu]) for mu in sorted(self.coeffs, reverse=True)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchurElement)
-            and self.ambient == other.ambient
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        self._check_ambient(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return SchurElement._trusted(self.ambient, out)
-
-    def __neg__(self):
-        return SchurElement._trusted(self.ambient, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SchurElement._trusted(self.ambient, {k: c * other for k, c in self.coeffs.items()})
-        if isinstance(other, SchurElement):
-            return schur_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def _check_ambient(self, other):
-        if not isinstance(other, SchurElement):
-            raise TypeError(f"expected SchurElement, got {type(other).__name__}")
-        if self.ambient != other.ambient:
-            raise ValueError(f"ambient mismatch: n={self.ambient} vs n={other.ambient}")
+    def _product(self, other):
+        return schur_mul(self, other)
 
     def render(self) -> str:
         """Text form: signed terms in descending lex key order, e.g.
@@ -239,14 +186,21 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     """Bilinear extension of the contingency-table basis product."""
-    a._check_ambient(b)
+    a._check(b)
     out: dict[Partition, int] = {}
     for mu, ca in a.coeffs.items():
         for nu, cb in b.coeffs.items():
             c = ca * cb
             for gamma, mult in _basis_product(mu, nu).items():
                 out[gamma] = out.get(gamma, 0) + c * mult
-    return SchurElement._trusted(a.ambient, out)
+    return SchurElement._trusted(a.base, out)
+
+
+def _check_power(i: int, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ambient must be >= 1, got {n}")
+    if i < 0:
+        raise ValueError(f"power must be >= 0, got {i}")
 
 
 @lru_cache(maxsize=None)
@@ -256,10 +210,7 @@ def sigma(i: int, n: int) -> SchurElement:
     Equals the sum over partitions mu of i with at most n parts of the basis
     class of the multiplicity profile of mu (sorted into a partition).
     """
-    if n < 1:
-        raise ValueError(f"ambient must be >= 1, got {n}")
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
+    _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     counts: dict[Partition, int] = {}
@@ -273,24 +224,21 @@ def sigma(i: int, n: int) -> SchurElement:
 def recursive_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n}, computed by the defining
     recursion -(-1)^i l_i = sum_{j<i} (-1)^j l_j s_{i-j} of the structure
-    opposite to the symmetric powers.
+    opposite to the symmetric powers (`ring.recursion_step`).
 
     For i > n the recursion must collapse to zero; that is a theorem, so it
     is checked rather than assumed: every l_j with n < j <= i is computed,
     in increasing j, and a nonzero one raises TheoremViolation.
     """
-    if n < 1:
-        raise ValueError(f"ambient must be >= 1, got {n}")
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
+    _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
+    # sigma is looked up at call time, so a replaced sigma is what is checked
+    lam, sig, where = (lambda j: recursive_lambda(j, n)), (lambda k: sigma(k, n)), f"at n={n}"
     if i <= n:
-        return _lambda_sum(i, n)
+        return recursion_step(i, n, lam, sig, where)
     for j in range(_vanished.get(n, n) + 1, i + 1):
-        result = _lambda_sum(j, n)
-        if not result.is_zero():
-            raise TheoremViolation(f"lambda^{j} at n={n} must vanish, got {result.render()}")
+        recursion_step(j, n, lam, sig, where)
         _vanished[n] = j
     return SchurElement.zero(n)
 
@@ -300,34 +248,16 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
 _vanished: dict[int, int] = {}
 
 
-def _lambda_sum(i: int, n: int) -> SchurElement:
-    """The right-hand side of the recursion for l_i, i >= 1, over j <= n
-    only: every l_j with n < j < i has already been checked to vanish, so
-    the terms above n are zero and the sum costs O(n) products for any i."""
-    out: dict[Partition, int] = {}
-    for j in range(min(i, n + 1)):
-        sign = 1 if (i - j) % 2 else -1
-        for key, c in schur_mul(recursive_lambda(j, n), sigma(i - j, n)).coeffs.items():
-            out[key] = out.get(key, 0) + sign * c
-    return SchurElement._trusted(n, out)
-
-
 def closed_lambda(i: int, n: int) -> SchurElement:
-    """The i-th exterior-power class of {1..n} by the closed formula:
-    (-1)^i sum over mu |- i of (-1)^len(mu) * multinomial(mu) * [P_mu]."""
-    if n < 1:
-        raise ValueError(f"ambient must be >= 1, got {n}")
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
+    """The i-th exterior-power class of {1..n} by the closed signed sum
+    over the partitions mu of i (`ring.closed_terms`), each term padded
+    to a basis key of n."""
+    _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     if i > n:
         return SchurElement.zero(n)
-    out: dict[Partition, int] = {}
-    for mu in enumerate_partitions(i):
-        sign = -1 if (i + len(mu)) % 2 else 1
-        out[pad(mu, n)] = sign * multinomial(mu)
-    return SchurElement._trusted(n, out)
+    return SchurElement._trusted(n, {pad(mu, n): c for mu, c in closed_terms(i)})
 
 
 def degree(mu, n: int, k: int) -> int:
@@ -394,11 +324,6 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
 @lru_cache(maxsize=None)
 def _points(mu: Partition) -> int:
     return factorial(sum(mu)) // prod(factorial(p) for p in mu)
-
-
-def basis_cardinality(mu) -> int:
-    """Number of points of the basis G-set for a partition of n: n!/prod(mu_j!)."""
-    return _points(Partition(mu))
 
 
 def cardinality(x: SchurElement) -> int:

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from burnside.cli import main
-from burnside.schur import basis_cardinality
+from burnside.schur import basis_element, cardinality
 
 
 def run(capsys, *argv):
@@ -207,7 +207,7 @@ def test_tall_sigma_finishes():
         {"partition": [2], "coefficient": 1},
         {"partition": [1, 1], "coefficient": 60},
     ]
-    points = sum(t["coefficient"] * basis_cardinality(t["partition"]) for t in terms)
+    points = sum(t["coefficient"] * cardinality(basis_element(t["partition"], 2)) for t in terms)
     assert points == comb(121, 120)
 
 

@@ -28,9 +28,7 @@ from burnside.engine import (
     decompose,
     dihedral_group,
     disjoint_union,
-    empty_gset,
     eq6_general,
-    fixed_point_count,
     group_cap_default,
     group_closure,
     induce,
@@ -47,7 +45,6 @@ from burnside.engine import (
     stabilizer,
     symmetric_group,
     symmetric_power,
-    trivial_gset,
     verify_lemma73,
     verify_lemma74,
     young_subgroup,
@@ -173,17 +170,6 @@ def test_group_cap_env(monkeypatch):
     assert group_cap_default() == DEFAULT_GROUP_CAP
 
 
-def test_generators_and_words():
-    group = symmetric_group(4)
-    gens = group.generators()
-    for g in group.elements:
-        word = group.word(g)
-        built = group.identity
-        for gi in word:
-            built = built * gens[gi]
-        assert built == g
-
-
 # --------------------------------------------------------------------- actions
 
 
@@ -287,8 +273,8 @@ def test_decompose_union_doubles():
     nat = natural_gset(symmetric_group(4))
     both = decompose(disjoint_union(nat, nat))
     assert both == decompose(nat) * 2
-    assert decompose(empty_gset(symmetric_group(4))).is_zero()
-    one = decompose(trivial_gset(symmetric_group(4)))
+    assert decompose(GSet.from_point_action(symmetric_group(4), [], lambda g, p: p)).is_zero()
+    one = decompose(GSet.from_point_action(symmetric_group(4), ["*"], lambda g, p: p))
     assert one == BurnsideElement.one(symmetric_group(4))
 
 
@@ -318,7 +304,7 @@ def test_orbit_counting_lemma():
         symmetric_power(nat, 2),
         product_gset(nat, nat),
     ):
-        total = sum(fixed_point_count(gset, g) for g in group.elements)
+        total = sum(sum(k == v for k, v in enumerate(gset.table(g))) for g in group.elements)
         assert total == group.order * len(orbits(gset))
 
 
@@ -416,7 +402,7 @@ def test_induce_by_whole_group():
 def test_induce_one_point_gives_coset_space():
     h = young_subgroup(2, 4)
     group = symmetric_group(4)
-    induced = induce(trivial_gset(h), group)
+    induced = induce(GSet.from_point_action(h, ["*"], lambda g, p: p), group)
     assert induced.size == group.order // h.order
     key = group.canonical_key(h.elements)
     assert decompose(induced).coeffs == {key: 1}
@@ -425,7 +411,7 @@ def test_induce_one_point_gives_coset_space():
 def test_induce_transversals():
     group = young_subgroup(2, 4)
     h = group_closure([parse_permutation("(1 2)", 4)])
-    one = trivial_gset(h)
+    one = GSet.from_point_action(h, ["*"], lambda g, p: p)
     good = induce(one, group, coset_reps=["()", "(3 4)"])
     assert good.size == 2
     assert decompose(good) == decompose(induce(one, group))
@@ -523,12 +509,30 @@ def test_burnside_render():
 # ------------------------------------------------ table-engine invariants
 
 
+def _word_lengths(group):
+    """The length of a shortest word in the generators for every element,
+    by breadth-first search from the identity."""
+    lengths = {group.identity: 0}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for s in group.generators():
+                new = cur * s
+                if new not in lengths:
+                    lengths[new] = lengths[cur] + 1
+                    nxt.append(new)
+        frontier = nxt
+    return lengths
+
+
 def test_action_checked_on_every_element_not_only_generators():
     group = symmetric_group(4)
     # an element no product of at most two generators reaches, so a check
     # that only composed generator tables would never see it
-    bad = max(group.elements, key=lambda g: len(group.word(g)))
-    assert len(group.word(bad)) >= 3
+    lengths = _word_lengths(group)
+    bad = max(group.elements, key=lengths.__getitem__)
+    assert lengths[bad] >= 3
 
     def wrong_once(g, p):
         return p if g == bad else g(p)
@@ -717,7 +721,7 @@ def test_restrict_rows_along_a_projection():
 
 def test_wrong_row_on_one_non_generator_is_rejected():
     group = symmetric_group(4)
-    bad = max(group.elements, key=lambda g: len(group.word(g)))
+    bad = max(group.elements, key=_word_lengths(group).__getitem__)
     assert bad not in group.generators() and bad != group.identity
     bad_k = group.index_of(bad)
     elements = group.elements

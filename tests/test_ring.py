@@ -1,0 +1,95 @@
+"""The shared λ-ring core (`burnside.ring`): both models of the Burnside ring
+compute λ^i through the same recursion and closed sum, and share one
+integer-combination arithmetic."""
+
+import pytest
+
+from burnside import engine
+from burnside.engine import (
+    BurnsideElement,
+    CapExceeded,
+    burnside_to_schur,
+    cyclic_group,
+    decompose,
+    disjoint_union,
+    eq6_general,
+    lambda_general,
+    natural_gset,
+    p_mu_gset,
+    symmetric_group,
+)
+from burnside.partitions import Partition
+from burnside.schur import SchurElement, closed_lambda, recursive_lambda
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_both_models_give_the_same_lambdas(n):
+    nat = natural_gset(symmetric_group(n))
+    for i in range(n + 3):
+        assert burnside_to_schur(lambda_general(nat, i)) == recursive_lambda(i, n), (n, i)
+        assert burnside_to_schur(eq6_general(nat, i)) == closed_lambda(i, n), (n, i)
+
+
+def test_burnside_element_is_immutable():
+    group = symmetric_group(3)
+    x = decompose(natural_gset(group))
+    for name, value in (("group", cyclic_group(3)), ("coeffs", {}), ("base", group)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x == decompose(natural_gset(group))
+    assert x.group is group
+
+
+def test_mixing_the_two_models_is_a_type_error():
+    schur_one = SchurElement.one(3)
+    burnside_one = BurnsideElement.one(symmetric_group(3))
+    for a, b in ((schur_one, burnside_one), (burnside_one, schur_one)):
+        with pytest.raises(TypeError, match=f"expected {type(a).__name__}"):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            a * b
+        assert a != b
+
+
+def test_mismatch_messages_are_kept():
+    with pytest.raises(ValueError, match="ambient mismatch: n=3 vs n=4"):
+        SchurElement.one(3) + SchurElement.one(4)
+    with pytest.raises(ValueError, match="group mismatch"):
+        BurnsideElement.one(symmetric_group(3)) + BurnsideElement.one(cyclic_group(3))
+    with pytest.raises(TypeError, match="expected SchurElement, got int"):
+        SchurElement.one(3) + 1
+
+
+def _doubled_c8():
+    nat = natural_gset(cyclic_group(8))
+    return disjoint_union(nat, nat)
+
+
+@pytest.mark.parametrize(
+    "gset, i, table_cap, mu",
+    [
+        # P_(7) has 11440 points and P_(6,1) 80080; P_(5,2) has 240240
+        (_doubled_c8(), 7, None, (5, 2)),
+        # P_(2) of {1..3} under S_3 needs 6 x 3 table entries, P_(1,1) 6 x 6
+        (natural_gset(symmetric_group(3)), 2, 20, (1, 1)),
+    ],
+    ids=["point-cap", "table-cap"],
+)
+def test_eq6_checks_every_size_before_building(monkeypatch, gset, i, table_cap, mu):
+    if table_cap is not None:
+        monkeypatch.setattr(engine, "TABLE_CAP", table_cap)
+    # the error the first over-cap build raises
+    with pytest.raises(CapExceeded) as built:
+        p_mu_gset(gset, Partition(mu))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block-tuple set was built before every size was checked")
+
+    monkeypatch.setattr(engine, "p_mu_gset", refuse)
+    with pytest.raises(CapExceeded) as checked:
+        eq6_general(gset, i)
+    assert checked.value.construction == f"P_({','.join(map(str, mu))})({gset.label})"
+    assert (checked.value.kind, checked.value.cap, str(checked.value)) == (
+        built.value.kind, built.value.cap, str(built.value))
