@@ -125,6 +125,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return type(self)._trusted, (self.images,)
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -317,6 +320,11 @@ class PermGroup:
 
     def __hash__(self):
         return hash((self.degree, self.elements))
+
+    def __reduce__(self):
+        # the caches hold G-sets whose actions are local functions, and
+        # are refilled on demand, so a copy starts without them
+        return type(self), (self.degree, self.elements, self._gens)
 
     def __repr__(self):
         return f"<PermGroup degree={self.degree} order={self.order}>"

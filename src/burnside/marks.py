@@ -11,22 +11,38 @@ A tuple of disjoint blocks covering {1..n} is fixed by a permutation g
 exactly when every cycle of g stays inside a single block, so the fixed
 points of [P_mu] at cycle type nu are counted by distributing the cycles
 of nu over the ordered blocks with block r receiving total length mu_r.
+That is the coefficient of x^mu in the power sum p_nu, an entry of the
+power-sum-to-monomial transition matrix (Macdonald, Symmetric Functions
+and Hall Polynomials, I.6).  Two counters compute it, one per access
+pattern, and the tests check that they agree:
 
-`fixed_points` is the checked public entry.  The matrix, the mark vector
-and the injectivity check index their cells by partitions that
-`enumerate_partitions` built, so they call the counter `_placements`
-directly, with each basis key's sorted block tuple built once.
+- `_placements` counts one cell: it assigns the cycles to blocks of given
+  remaining capacities, so mu's capacities prune every state.
+  `fixed_points` (the checked public entry) and the mark columns that
+  `marks_of` sums call it, with each basis key's sorted block tuple built
+  once.  These need one cell or a few columns.
+- `_groupings` counts a whole row: the cycles of nu grouped by block,
+  i.e. the set partitions of the cycles, counted by their multiset mu of
+  group sums; each count times prod_k m_k(mu)!, the ways groups of equal
+  sum fill the blocks of that size, is the cell at mu.  `mark_matrix`
+  (and so `verify_injectivity` and `marks --n`) builds the matrix row by
+  row this way, filling only the nonzero cells: most cells of the matrix
+  are zero, and a cell-by-cell count spends most of its time finding that
+  out.  Routing the single-cell paths through whole rows instead costs
+  them far more than it saves, so each access pattern keeps its counter.
 
 The order of the partitions of n and the mark column of each basis key
 that `marks_of` meets are cached for the life of the process (see
 `burnside.clear_caches`), so a mark vector is a sum of cached columns.
 `mark_matrix` is not cached: at n = 18 it has 148,225 cells, and the
-callers that need it ask for it once.
+callers that need it ask for it once.  Its grouping counts are shared
+between the rows of one call only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
 
 from .partitions import Partition, enumerate_partitions
 from .schur import SchurElement
@@ -78,16 +94,57 @@ def marks_vector_order(n: int) -> list[Partition]:
     return list(_order(n))
 
 
+def _groupings(cycles: tuple, memo: dict) -> dict:
+    """Set partitions of distinguishable cycles (lengths `cycles`, ascending)
+    counted by their group sums: {ascending tuple of group sums: count}.
+
+    `memo` maps each prefix of a cycle tuple already counted to its counts
+    and must hold {(): {(): 1}}; cycle types that share their smallest
+    cycles share that work.  The next cycle c either opens a group of its
+    own or joins one of the groups of some sum s, with as many choices as
+    groups of sum s."""
+    known = len(cycles)
+    while cycles[:known] not in memo:
+        known -= 1
+    counts = memo[cycles[:known]]
+    for k in range(known, len(cycles)):
+        c = cycles[k]
+        grown: dict = {}
+        for sums, count in counts.items():
+            key = tuple(sorted(sums + (c,)))
+            grown[key] = grown.get(key, 0) + count
+            for s in set(sums):
+                joined = list(sums)
+                joined.remove(s)
+                joined.append(s + c)
+                key = tuple(sorted(joined))
+                grown[key] = grown.get(key, 0) + sums.count(s) * count
+        counts = memo[cycles[:k + 1]] = grown
+    return counts
+
+
 def mark_matrix(n: int) -> list[list[int]]:
     """Matrix of basis marks: rows are cycle types nu, columns basis keys mu,
     both in descending lexicographic order; entry = fixed_points(mu, nu).
 
     Lower-triangular: a cycle of length bigger than every block cannot be
-    placed, and more precisely the entry vanishes whenever nu > mu."""
+    placed, and more precisely the entry vanishes whenever nu > mu.
+
+    Built row by row from `_groupings`: a grouping of the cycles of nu with
+    group sums mu fills the blocks of [P_mu] in prod_k m_k(mu)! ways."""
     order = _order(n)
-    columns = [tuple(sorted(mu)) for mu in order]
-    return [[_placements(cycles, blocks) for blocks in columns]
-            for cycles in map(tuple, order)]
+    # ascending tuple of block sizes -> (column, ways to fill equal blocks)
+    columns = {tuple(reversed(mu)): (c, prod(factorial(mu.count(p)) for p in set(mu)))
+               for c, mu in enumerate(order)}
+    memo: dict = {(): {(): 1}}
+    matrix = []
+    for nu in order:
+        row = [0] * len(order)
+        for sums, count in _groupings(tuple(reversed(nu)), memo).items():
+            c, ways = columns[sums]
+            row[c] = count * ways
+        matrix.append(row)
+    return matrix
 
 
 @lru_cache(maxsize=None)
@@ -114,6 +171,9 @@ class MarkVector:
 
     def __delattr__(self, name):
         raise AttributeError("MarkVector is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def _fields(self) -> tuple:
         return (self.ambient, self.cycle_types, self.values)

@@ -37,6 +37,11 @@ class Combination:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _trusted, as the default would
+        # write the slots and be refused
+        return type(self)._trusted, (self.base, dict(self.coeffs))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -5,7 +5,9 @@ block-tuple G-sets, and truncated power series built with a standalone
 polynomial helper (for the generating identities).
 """
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from burnside import marks
 from burnside.engine import (
     Permutation,
     natural_gset,
@@ -110,6 +113,65 @@ def test_mark_matrix_triangular():
         for r in range(len(matrix)):
             for c in range(r + 1, len(matrix)):
                 assert matrix[r][c] == 0, (n, r, c)
+
+
+def test_rows_agree_with_the_cell_counter():
+    # mark_matrix counts whole rows by grouping cycles, fixed_points one
+    # cell by placing cycles into blocks: two independent counters
+    for n in range(13):
+        order = marks_vector_order(n)
+        matrix = mark_matrix(n)
+        assert len(matrix) == len(order)
+        for nu, row in zip(order, matrix):
+            assert row == [fixed_points(mu, nu) for mu in order], (n, nu)
+
+
+def bell(k):
+    """Set partitions of k labelled items, from the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+    return row[0]
+
+
+def test_groupings_count_every_set_partition_of_the_cycles():
+    assert [bell(k) for k in range(6)] == [1, 1, 2, 5, 15, 52]
+    memo = {(): {(): 1}}
+    for n in range(11):
+        for nu in enumerate_partitions(n):
+            counts = marks._groupings(tuple(reversed(nu)), memo)
+            assert sum(counts.values()) == bell(len(nu)), nu
+            assert all(sum(sums) == n and list(sums) == sorted(sums) for sums in counts)
+
+
+def test_verify_injectivity_reports_a_cell_above_the_diagonal(monkeypatch):
+    # one row of the grouping counts gains the key of the column right of
+    # its diagonal cell
+    n = 6
+    order = marks_vector_order(n)
+    nu, mu = order[2], order[3]
+    real = marks._groupings
+
+    def faulty(cycles, memo):
+        counts = real(cycles, memo)
+        if cycles == tuple(reversed(nu)):
+            counts = dict(counts)
+            counts[tuple(reversed(mu))] = 1
+        return counts
+
+    monkeypatch.setattr(marks, "_groupings", faulty)
+    report = verify_injectivity(n)
+    assert not report["triangular"]
+    assert report["diagonal_nonzero"]
+    assert report["failures"] == [{
+        "cycle_type": list(nu),
+        "basis_key": list(mu),
+        "value": prod(factorial(a) for a in alpha(mu)),
+        "reason": "nonzero entry above the diagonal",
+    }]
 
 
 def test_verify_injectivity_reports():
@@ -238,6 +300,12 @@ def test_mark_vector_record():
     assert x.to_json()["marks"][0] == {"cycle_type": [3], "value": 0}
     assert x.render().splitlines()[-1] == "(1,1,1): 6"
     assert repr(x).startswith("MarkVector(ambient=3, cycle_types=(")
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        y = round_trip(x)
+        assert type(y) is MarkVector and y == x and hash(y) == hash(x)
+        assert y.cycle_types == x.cycle_types and y.render() == x.render()
+        with pytest.raises(AttributeError):
+            y.values = ()
 
 
 def test_cli_import_leaves_out_dataclasses():

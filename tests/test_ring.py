@@ -2,6 +2,9 @@
 compute λ^i through the same recursion and closed sum, and share one
 integer-combination arithmetic."""
 
+import copy
+import pickle
+
 import pytest
 
 from burnside import engine
@@ -19,7 +22,7 @@ from burnside.engine import (
     symmetric_group,
 )
 from burnside.partitions import Partition
-from burnside.schur import SchurElement, closed_lambda, recursive_lambda
+from burnside.schur import SchurElement, closed_lambda, recursive_lambda, sigma
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -93,3 +96,30 @@ def test_eq6_checks_every_size_before_building(monkeypatch, gset, i, table_cap, 
     assert checked.value.construction == f"P_({','.join(map(str, mu))})({gset.label})"
     assert (checked.value.kind, checked.value.cap, str(checked.value)) == (
         built.value.kind, built.value.cap, str(built.value))
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_elements_survive_pickle_and_copy(how):
+    group = symmetric_group(3)
+    decomposed = decompose(engine.symmetric_power(natural_gset(group), 2))
+    for x in (sigma(2, 4), SchurElement.zero(3), decomposed, decompose(natural_gset(group)) * 0):
+        y = ROUND_TRIPS[how](x)
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+        assert y.render() == x.render() and y.to_json() == x.to_json()
+        with pytest.raises(AttributeError):
+            y.coeffs = {}
+    y = ROUND_TRIPS[how](decomposed)
+    assert y.group == group and y * y == decomposed * decomposed
+    g = group.elements[-1]
+    h = ROUND_TRIPS[how](g)
+    assert h == g and hash(h) == hash(g) and h.images == g.images
+    with pytest.raises(AttributeError):
+        h.images = g.images
