@@ -70,14 +70,15 @@ from . import schur as _schur
 def clear_caches() -> None:
     """Empty the package's unbounded result caches: `sigma`,
     `recursive_lambda` and the record of the powers above n it has checked
-    to vanish, the contingency-table product and its row recursion, the
-    basis point counts, the mark placement counts, the mark order and the
-    basis mark columns.  The caches only ever hold exact results, so
+    to vanish, `closed_lambda`, the contingency-table product and its row
+    recursion, the basis point counts, the mark placement counts, the mark
+    order and the basis mark columns.  The caches only ever hold exact results, so
     clearing changes no answer; it frees their memory in a long-lived
     process, at the cost of recomputing on the next call."""
     for cached in (
         _schur.sigma,
         _schur.recursive_lambda,
+        _schur.closed_lambda,
         _schur._basis_product,
         _schur._tables,
         _schur._points,

@@ -132,6 +132,8 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
     i_max = args.i_max if args.i_max is not None else n_max + 3
+    if i_max < 0:
+        raise ValueError(f"need i-max >= 0, got {i_max}")
 
     equal_total = equal_pass = 0
     equal_failures = []

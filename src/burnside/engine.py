@@ -7,19 +7,27 @@ identified by conjugacy search over stabilizers.  The point is to have an
 oracle whose only inputs are the definitions, so that the closed formulas
 elsewhere in the package can be checked against it.
 
-The hot paths run on integer tables.  A group element's index is its
-position in the group's sorted element tuple, and a G-set's action is
-given once, as rows: row k lists the image index of every point under
-the element with index k.  Every construction computes its rows from its
-parents' rows by index arithmetic:
+The hot paths run on integers.  A group keeps `Permutation` objects only
+at its edges (parsing, printing, the public API and its sorted `elements`
+tuple); closure works on image tuples, and after it an element is its
+index, its position in the sorted element tuple, found from its image
+tuple through one dictionary.  Per generator s the group tabulates, once,
+the index of s·g (left multiples) and of s·g·s⁻¹ (conjugation) for every
+element g, so conjugacy classes of subgroups are orbits of frozensets of
+element indices.  A G-set's action is given once, as rows: row k lists the
+image index of every point under the element with index k.  Every
+construction computes its rows from its parents' rows by index
+arithmetic:
 
 - a natural set reads each permutation's images;
 - a symmetric power maps, sorts and looks up each point;
 - a block-tuple set moves each distinct block once per element and looks
   up each point by its moved blocks;
-- a coset space looks up g·rep once per (element, coset);
-- an induced set looks up g·rep once per (element, transversal element)
-  and shifts the subgroup set's row;
+- a coset space reads g·rep's index once per (element, coset), from the
+  image tuple g(rep(x)) = images_g[rep0[x]], where rep0 is the zero-based
+  image tuple of the coset's representative, computed once;
+- an induced set reads g·rep's index the same way once per (element,
+  transversal element) and shifts the subgroup set's row;
 - unions, products and restrictions shift, combine or reindex their
   parents' rows.
 
@@ -277,6 +285,9 @@ class PermGroup:
     plus caches for the expensive classification queries (canonical
     stabilizer fingerprints, coset spaces, pairwise class products).
 
+    An element is addressed by its index in `elements`, found from its
+    image tuple; the classification queries work on indices.
+
     Construct through group_closure or the named constructors; the direct
     constructor trusts its input to be closed, and to be generated by
     `generators` when they are given.
@@ -284,29 +295,35 @@ class PermGroup:
 
     def __init__(self, degree: int, elements, generators=None):
         self.degree = degree
-        self.elements: tuple[Permutation, ...] = tuple(sorted(set(elements)))
+        distinct = {g.images: g for g in elements}
+        self.elements: tuple[Permutation, ...] = tuple(
+            distinct[images] for images in sorted(distinct)
+        )
         if not self.elements:
             raise ValueError("a group needs at least the identity")
         for g in self.elements:
             if g.degree != degree:
                 raise ValueError(f"element degree {g.degree} != group degree {degree}")
         self.identity = Permutation.identity(degree)
-        self._index = {g: k for k, g in enumerate(self.elements)}
-        if self.identity not in self._index:
+        # image tuple -> element index
+        self._by_images = {g.images: k for k, g in enumerate(self.elements)}
+        if self.identity.images not in self._by_images:
             raise ValueError("element set lacks the identity")
         self._gens = tuple(generators) if generators is not None else None
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
         self._coset_cache: dict[tuple[int, ...], GSet] = {}
         self._class_product_cache: dict[tuple, dict] = {}
         self._young_key_cache: dict[Partition, tuple[int, ...]] | None = None
+        self._young_classes: dict[tuple[int, ...], Partition] | None = None
         self._left_multiples: list[tuple[int, list[int]]] | None = None
+        self._conjugations: list[list[int]] | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self._index
+        return isinstance(g, Permutation) and g.images in self._by_images
 
     def __iter__(self):
         return iter(self.elements)
@@ -330,7 +347,7 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
     def index_of(self, g: Permutation) -> int:
-        return self._index[g]
+        return self._by_images[g.images]
 
     def generators(self) -> tuple[Permutation, ...]:
         """The generators the group was closed from; for a group built by
@@ -339,60 +356,93 @@ class PermGroup:
         already kept."""
         if self._gens is None:
             gens: list[Permutation] = []
-            known = {self.identity}
+            known = {self.identity.images}
             for g in self.elements:
-                if g not in known:
+                if g.images not in known:
                     gens.append(g)
-                    known = _closure_set(known | {g}, gens)
+                    known = _closure(known | {g.images}, gens)
             self._gens = tuple(gens)
         return self._gens
 
     def left_multiples(self) -> list[tuple[int, list[int]]]:
         """For each generator s, its element index and the index of s·g for
-        every element g in order; |generators|·|G| products, made once."""
+        every element g in order; |generators|·|G| lookups, made once."""
         if self._left_multiples is None:
-            index, elements = self._index, self.elements
-            self._left_multiples = [
-                (index[s], [index[s * g] for g in elements]) for s in self.generators()
-            ]
+            by_images = self._by_images
+            self._left_multiples = []
+            for s in self.generators():
+                s_of = (None,) + s.images  # s_of[p] = s(p)
+                self._left_multiples.append((
+                    by_images[s.images],
+                    [by_images[tuple(map(s_of.__getitem__, g.images))] for g in self.elements],
+                ))
         return self._left_multiples
+
+    def conjugations(self) -> list[list[int]]:
+        """For each generator s, the index of s·g·s⁻¹ for every element g
+        in order; |generators|·|G| lookups, made once."""
+        if self._conjugations is None:
+            by_images = self._by_images
+            self._conjugations = []
+            for s in self.generators():
+                s_of = (None,) + s.images
+                # s·g·s⁻¹ sends x to s(g(s⁻¹(x))); g's images are read at
+                # the zero-based points s⁻¹(x) - 1
+                s_inv0 = [0] * self.degree
+                for x, p in enumerate(s.images):
+                    s_inv0[p - 1] = x
+                self._conjugations.append([
+                    by_images[tuple(map(s_of.__getitem__, map(g.images.__getitem__, s_inv0)))]
+                    for g in self.elements
+                ])
+        return self._conjugations
 
     def canonical_key(self, subgroup_elements) -> tuple[int, ...]:
         """Conjugation-invariant fingerprint of a subgroup: the lexicographic
-        minimum, over all conjugates, of the sorted element-index tuple.
+        minimum, over all conjugates, of the sorted element-index tuple."""
+        by_images = self._by_images
+        return self._canonical_key(frozenset([by_images[h.images] for h in subgroup_elements]))
 
-        The conjugates are found as the orbit of the subgroup under
-        conjugation by the generators, which is its whole conjugacy class
+    def _canonical_key(self, members: frozenset) -> tuple[int, ...]:
+        """`canonical_key` of the subgroup with the given element indices.
+
+        The conjugates are found as the orbit of the index set under the
+        generators' conjugation tables, which is its whole conjugacy class
         because the generators generate the group.  That costs about
-        (number of conjugates)·|generators|·|H| products instead of
-        |G|·|H|.  The key is cached for every conjugate.
+        (number of conjugates)·|generators|·|H| lookups instead of |G|·|H|
+        products.  The key is cached for every conjugate.
         """
-        members = frozenset(subgroup_elements)
         hit = self._key_cache.get(members)
         if hit is not None:
             return hit
         if len(members) == 1:
-            key = (self._index[self.identity],)
+            key = (self._by_images[self.identity.images],)
             self._key_cache[members] = key
             return key
         if len(members) == self.order:
             key = tuple(range(self.order))
             self._key_cache[members] = key
             return key
-        pairs = [(s, s.inverse()) for s in self.generators()]
+        tables = [table.__getitem__ for table in self.conjugations()]
         conjugates = [members]
         seen = {members}
         for conj in conjugates:
-            for s, sinv in pairs:
-                nxt = frozenset([s * h * sinv for h in conj])
+            for table in tables:
+                nxt = frozenset(map(table, conj))
                 if nxt not in seen:
                     seen.add(nxt)
                     conjugates.append(nxt)
-        index = self._index
-        best = min(tuple(sorted([index[h] for h in conj])) for conj in conjugates)
+        best = min(tuple(sorted(conj)) for conj in conjugates)
         for conj in conjugates:
             self._key_cache[conj] = best
         return best
+
+    def _products(self, g: Permutation, rights0) -> list[int]:
+        """The index of g·h for each h, given as its `_zero_based` images:
+        g·h sends x to g(h(x)), which is g's image tuple read at h's
+        zero-based images."""
+        g_of, by_images = g.images.__getitem__, self._by_images
+        return [by_images[tuple(map(g_of, h0))] for h0 in rights0]
 
     def coset_space(self, key: tuple[int, ...]) -> GSet:
         """The transitive G-set G/H for the subgroup with the given element
@@ -401,24 +451,23 @@ class PermGroup:
         hit = self._coset_cache.get(key)
         if hit is not None:
             return hit
-        elements, index = self.elements, self._index
-        members = [elements[i] for i in key]
+        elements, products = self.elements, self._products
+        members0 = [_zero_based(elements[i]) for i in key]
         coset_of = [-1] * self.order
         points = []
-        reps = []  # each coset's least element, in coset order
+        reps0 = []  # zero-based images of each coset's least element, in coset order
         for i, g in enumerate(elements):
             if coset_of[i] >= 0:
                 continue
             cid = len(points)
-            indices = sorted(index[g * h] for h in members)
+            indices = sorted(products(g, members0))
             for j in indices:
                 coset_of[j] = cid
             points.append(frozenset(indices))
-            reps.append(g)
+            reps0.append(_zero_based(g))
 
         def row(gset, k):
-            g = elements[k]
-            return [coset_of[index[g * rep]] for rep in reps]
+            return [coset_of[j] for j in products(elements[k], reps0)]
 
         gset = GSet.from_point_action(
             self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
@@ -426,40 +475,63 @@ class PermGroup:
         self._coset_cache[key] = gset
         return gset
 
+    def _block_stabilizer(self, sizes) -> list[int]:
+        """Indices of the elements preserving each consecutive block of the
+        given sizes: each point carries its block's label, and an element
+        is kept iff it sends every point to one with the same label."""
+        labels = [b for b, size in enumerate(sizes) for _ in range(size)]
+        label_of = (None,) + tuple(labels)  # label_of[p] is point p's label
+        return [
+            k
+            for k, g in enumerate(self.elements)
+            if list(map(label_of.__getitem__, g.images)) == labels
+        ]
+
     def young_keys(self) -> dict[Partition, tuple[int, ...]]:
         """Canonical keys of the block stabilizers Y_mu (elements preserving
         each consecutive block of sizes mu_j), for every mu of weight n.
         Only meaningful when this group is the full symmetric group."""
         if self._young_key_cache is None:
-            table = {}
-            for mu in enumerate_partitions(self.degree):
-                blocks = []
-                start = 1
-                for part in mu:
-                    blocks.append(frozenset(range(start, start + part)))
-                    start += part
-                members = [
-                    g
-                    for g in self.elements
-                    if all(frozenset(g(p) for p in b) == b for b in blocks)
-                ]
-                table[mu] = self.canonical_key(members)
-            self._young_key_cache = table
+            self._young_key_cache = {
+                mu: self._canonical_key(frozenset(self._block_stabilizer(mu)))
+                for mu in enumerate_partitions(self.degree)
+            }
         return self._young_key_cache
+
+    def young_classes(self) -> dict[tuple[int, ...], Partition]:
+        """The inverse of `young_keys`: the partition mu of each block
+        stabilizer class, keyed by its canonical key."""
+        if self._young_classes is None:
+            self._young_classes = {key: mu for mu, key in self.young_keys().items()}
+        return self._young_classes
 
     def is_full_symmetric(self) -> bool:
         return self.order == factorial(self.degree)
 
 
-def _closure_set(seed: set, gens) -> set:
+def _zero_based(g: Permutation) -> tuple[int, ...]:
+    """g's images as zero-based positions, for reading another element's
+    image tuple at them: h.images[x] for x in _zero_based(g) are the images
+    of h·g."""
+    return tuple([p - 1 for p in g.images])
+
+
+def _closure(seed: set, gens, cap: int | None = None, construction: str = "") -> set:
+    """The image tuples of the elements generated from the image tuples in
+    seed by right multiplication with the generators; once the set would
+    pass the cap, CapExceeded for the named construction."""
+    gens0 = [_zero_based(s) for s in gens]
     out = set(seed)
     frontier = list(seed)
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in gens:
-                new = g * s
+        for cur in frontier:
+            cur_of = cur.__getitem__
+            for s0 in gens0:
+                new = tuple(map(cur_of, s0))
                 if new not in out:
+                    if cap is not None and len(out) >= cap:
+                        raise CapExceeded("group-order", cap, construction)
                     out.add(new)
                     nxt.append(new)
         frontier = nxt
@@ -468,7 +540,8 @@ def _closure_set(seed: set, gens) -> set:
 
 def group_closure(generators, cap: int | None = None, degree: int | None = None) -> PermGroup:
     """Close a generator list into an explicit PermGroup, failing with a
-    structured error once the element count would pass the cap."""
+    structured error once the element count would pass the cap.  The
+    closure runs on image tuples, and each element is wrapped once."""
     if cap is None:
         cap = group_cap_default()
     generators = list(generators)
@@ -482,23 +555,13 @@ def group_closure(generators, cap: int | None = None, degree: int | None = None)
             raise ValueError(
                 f"inconsistent generator degrees: {g.degree} vs {degree}"
             )
-    identity = Permutation.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for s in generators:
-                new = cur * s
-                if new not in seen:
-                    if len(seen) + 1 > cap:
-                        raise CapExceeded(
-                            "group-order", cap, f"closure of {len(generators)} generators"
-                        )
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return PermGroup(degree, seen, generators=generators)
+    seen = _closure(
+        {tuple(range(1, degree + 1))},
+        generators,
+        cap,
+        f"closure of {len(generators)} generators",
+    )
+    return PermGroup(degree, map(Permutation._trusted, seen), generators=generators)
 
 
 @lru_cache(maxsize=None)
@@ -538,11 +601,8 @@ def young_subgroup(i: int, n: int) -> PermGroup:
     the image of S_i x S_{n-i}."""
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    block = set(range(1, i + 1))
-    members = [
-        g for g in symmetric_group(n).elements if {g(p) for p in block} == block
-    ]
-    return PermGroup(n, members)
+    whole = symmetric_group(n)
+    return PermGroup(n, [whole.elements[k] for k in whole._block_stabilizer((i, n - i))])
 
 
 class Rows:
@@ -662,13 +722,12 @@ class GSet:
         """Point-index table of one element: its row."""
         return self.row(self.group.index_of(g))
 
-    def _stabilizer_members(self, idx: int) -> list[Permutation]:
-        """The group elements fixing the point with index idx."""
-        elements = self.group.elements
+    def _stabilizer_indices(self, idx: int) -> list[int]:
+        """The indices of the group elements fixing the point with index idx."""
         if self._tables is not None:
-            return [g for g, t in zip(elements, self._tables) if t[idx] == idx]
+            return [k for k, t in enumerate(self._tables) if t[idx] == idx]
         image = self._image
-        return [g for k, g in enumerate(elements) if image(k, idx) == idx]
+        return [k for k in range(self.group.order) if image(k, idx) == idx]
 
     def _verify_action(self):
         """Evaluate the row of every element and check the axioms on the
@@ -860,7 +919,10 @@ def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
 def stabilizer(s: GSet, point, group: PermGroup | None = None) -> PermGroup:
     """The subgroup fixing one point."""
     group = _resolve_group(s, group)
-    return PermGroup(group.degree, s._stabilizer_members(s.index_of(point)))
+    elements = group.elements
+    return PermGroup(
+        group.degree, [elements[k] for k in s._stabilizer_indices(s.index_of(point))]
+    )
 
 
 def _resolve_group(s: GSet, group: PermGroup | None) -> PermGroup:
@@ -923,9 +985,7 @@ class BurnsideElement(Combination):
         over a full symmetric group when the class is a block-tuple class."""
         if self.is_zero():
             return "0"
-        young = None
-        if self.group.is_full_symmetric():
-            young = {key: mu for mu, key in self.group.young_keys().items()}
+        young = self.group.young_classes() if self.group.is_full_symmetric() else None
         lines = []
         for key, c in self.terms():
             sign = "+" if c > 0 else "-"
@@ -938,9 +998,7 @@ class BurnsideElement(Combination):
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        young = None
-        if self.group.is_full_symmetric():
-            young = {key: mu for mu, key in self.group.young_keys().items()}
+        young = self.group.young_classes() if self.group.is_full_symmetric() else None
         return {
             "group_order": self.group.order,
             "degree": self.group.degree,
@@ -965,7 +1023,7 @@ def decompose(s: GSet, group: PermGroup | None = None) -> BurnsideElement:
     group = _resolve_group(s, group)
     coeffs: dict[tuple, int] = {}
     for orbit in orbits(s):
-        key = group.canonical_key(s._stabilizer_members(orbit[0]))
+        key = group._canonical_key(frozenset(s._stabilizer_indices(orbit[0])))
         coeffs[key] = coeffs.get(key, 0) + 1
     return BurnsideElement._trusted(group, coeffs)
 
@@ -1117,13 +1175,14 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
     """Induce an H-set up to a supergroup: points are (transversal index,
     point) pairs, and g sends (g_i, x) to (g_j, h·x) where g·g_i = g_j·h.
     The pair (j, x) has index j·|s| + index of x, so g's row is, for each
-    transversal index i, s's row of h shifted by j·|s|: one product g·g_i
-    per (element, transversal index), and none per point."""
+    transversal index i, s's row of h shifted by j·|s|: one lookup of
+    g·g_i per (element, transversal index), and none per point."""
     h = s.group
     for g in h.elements:
         if g not in group:
             raise ValueError("the acting group of s is not a subgroup")
-    index = group._index
+    products = group._products
+    h0 = [_zero_based(m) for m in h.elements]
     # element index in group -> (j, k) where the element is g_j times
     # element k of s's group
     split: list[tuple[int, int] | None] = [None] * group.order
@@ -1133,15 +1192,14 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
             if split[i] is None:
                 j = len(reps)
                 reps.append(g)
-                for hk, m in enumerate(h.elements):
-                    split[index[g * m]] = (j, hk)
+                for hk, gm in enumerate(products(g, h0)):
+                    split[gm] = (j, hk)
     else:
         reps = [g if isinstance(g, Permutation) else parse_permutation(g, group.degree) for g in coset_reps]
         for j, g in enumerate(reps):
             if g not in group:
                 raise ValueError(f"transversal element {g} is not in the group")
-            for hk, m in enumerate(h.elements):
-                gm = index[g * m]
+            for hk, gm in enumerate(products(g, h0)):
                 if split[gm] is not None:
                     raise ValueError(
                         f"invalid transversal: {reps[split[gm][0]]} and {g} share a coset"
@@ -1151,12 +1209,12 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
             raise ValueError("invalid transversal: cosets do not cover the group")
     points = [(j, p) for j in range(len(reps)) for p in s.points]
     elements, nx = group.elements, s.size
+    reps0 = [_zero_based(g) for g in reps]
 
     def row(gset, k):
-        g = elements[k]
         out = []
-        for rep in reps:
-            j2, hk = split[index[g * rep]]
+        for gi in products(elements[k], reps0):
+            j2, hk = split[gi]
             base = j2 * nx
             out += [base + v for v in s.row(hk)]
         return out
@@ -1239,12 +1297,11 @@ def schur_membership(s: GSet) -> list[dict]:
     group = s.group
     if not group.is_full_symmetric():
         raise ValueError("schur_membership needs the full symmetric group")
-    young = {key: mu for mu, key in group.young_keys().items()}
+    young = group.young_classes()
     verdicts = []
     for orbit in orbits(s):
-        members = s._stabilizer_members(orbit[0])
-        key = group.canonical_key(members)
-        mu = young.get(key)
+        members = s._stabilizer_indices(orbit[0])
+        mu = young.get(group._canonical_key(frozenset(members)))
         verdicts.append(
             {
                 "representative_index": orbit[0],
@@ -1274,7 +1331,7 @@ def burnside_to_schur(x: BurnsideElement) -> SchurElement:
     group = x.group
     if not group.is_full_symmetric():
         raise ValueError("burnside_to_schur needs the full symmetric group")
-    young = {key: mu for mu, key in group.young_keys().items()}
+    young = group.young_classes()
     coeffs = {}
     for key, c in x.coeffs.items():
         mu = young.get(key)

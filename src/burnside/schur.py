@@ -248,6 +248,7 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
 _vanished: dict[int, int] = {}
 
 
+@lru_cache(maxsize=None)
 def closed_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n} by the closed signed sum
     over the partitions mu of i (`ring.closed_terms`), each term padded

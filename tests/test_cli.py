@@ -87,6 +87,15 @@ def test_verify_structured(capsys):
     assert body["final"].startswith("PASS")
 
 
+def test_verify_negative_i_max_is_a_usage_error(capsys):
+    code, out = run(capsys, "verify", "--n-max", "3", "--i-max", "-5", "--format", "structured")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["payload"]["kind"] == "usage"
+    assert "i-max" in doc["payload"]["message"]
+
+
 def test_oracle_cyclic(capsys, tmp_path):
     path = tmp_path / "c4.grp"
     path.write_text("# rotations of a square\n(1 2 3 4)\n")

@@ -149,6 +149,10 @@ def test_group_closure_cap():
     assert exc.value.kind == "group-order"
     assert exc.value.cap == 10
     assert "closure" in exc.value.construction
+    # the cap fires at exactly cap + 1 elements
+    assert group_closure(gens, cap=120).order == 120
+    with pytest.raises(CapExceeded):
+        group_closure(gens, cap=119)
     with pytest.raises(ValueError):
         group_closure([parse_permutation("(1 2)"), parse_permutation("(1 2 3)")])
 
@@ -575,8 +579,9 @@ def _reference_key(group, members):
         # direct constructor, no generators given: a greedy set is derived;
         # S_2 x S_3 is dihedral of order 12
         (PermGroup(5, young_subgroup(2, 5).elements), 16, 10),
+        (dihedral_group(6), 16, 10),
     ],
-    ids=["S4", "young-2-5"],
+    ids=["S4", "young-2-5", "D6"],
 )
 def test_canonical_key_matches_full_conjugation_sweep(group, subgroups, classes):
     found = _all_subgroups(group)
@@ -587,6 +592,50 @@ def test_canonical_key_matches_full_conjugation_sweep(group, subgroups, classes)
         assert key == _reference_key(group, members)
         keys.add(key)
     assert len(keys) == classes
+
+
+def _blocks(mu):
+    """The consecutive blocks of {1..n} with sizes mu, as frozensets."""
+    blocks, start = [], 1
+    for part in mu:
+        blocks.append(frozenset(range(start, start + part)))
+        start += part
+    return blocks
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_young_keys_match_block_stabilizer_sweep(n):
+    group = symmetric_group(n)
+    keys = group.young_keys()
+    assert set(keys) == set(enumerate_partitions(n))
+    for mu, key in keys.items():
+        members = [
+            g for g in group.elements
+            if all(frozenset(g(p) for p in b) == b for b in _blocks(mu))
+        ]
+        assert key == _reference_key(group, members)
+    assert group.young_classes() == {key: mu for mu, key in keys.items()}
+
+
+def test_young_subgroup_is_setwise_stabilizer():
+    for n in range(1, 6):
+        for i in range(n + 1):
+            block = set(range(1, i + 1))
+            expected = [g for g in symmetric_group(n).elements if {g(p) for p in block} == block]
+            assert young_subgroup(i, n).elements == tuple(expected)
+
+
+def test_closure_does_not_depend_on_generator_order():
+    gens = [parse_permutation(text, 6) for text in ("(1 2)", "(1 2 3 4 5 6)", "(3 4)", "(2 5)")]
+    reference = group_closure(gens)
+    rng = random.Random(7)
+    for _ in range(3):
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        group = group_closure(shuffled)
+        assert group.elements == reference.elements
+        assert [group.index_of(g) for g in reference.elements] == list(range(reference.order))
+    assert reference.elements == tuple(sorted(reference.elements))
 
 
 def test_table_cap(monkeypatch):

@@ -254,14 +254,14 @@ def test_permutation_matrices_are_counted_not_enumerated():
 
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
-    caches = (schur.sigma, schur.recursive_lambda, schur._basis_product,
+    caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
               schur._tables, schur._points, marks._placements, marks._order,
               marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
                 marks.mark_matrix(6), marks.marks_of(sigma(3, 5)), recursive_lambda(9, 6),
-                cardinality(sigma(3, 5)))
+                cardinality(sigma(3, 5)), closed_lambda(5, 6))
 
     before = results()
     assert all(cache.cache_info().currsize for cache in caches)
