@@ -28,6 +28,7 @@ from .marks import (
     MarkVector,
     fixed_points,
     mark_matrix,
+    mark_rows,
     marks_of,
     verify_injectivity,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "MarkVector",
     "fixed_points",
     "mark_matrix",
+    "mark_rows",
     "marks_of",
     "verify_injectivity",
     "BurnsideElement",

@@ -8,11 +8,20 @@ round-trips exactly.  Each subcommand returns its exit code, a function
 that renders its text lines and its payload, so the structured mode never
 renders text it would throw away.
 
+The document is the text of ``json.dumps(document, indent=2,
+sort_keys=True)``, byte for byte, written piece by piece (`_chunks`):
+dicts recurse in Python, and each flat list of scalars, such as a row of
+the mark matrix, is one call of json's C encoder with the newline and
+indent in its item separator.  json.dumps itself would run the
+pure-Python encoder, since the C encoder does no indentation, and would
+build the whole text before the first byte is written.
+
 Exit codes: 0 success / verification passed, 1 a verified identity failed
 or a theorem check raised TheoremViolation (an implementation bug, since
 the underlying facts are theorems), 2 usage or input error, 3 resource cap
 exceeded.  The group-order cap can be raised through the BURNSIDE_GROUP_CAP
-environment variable.
+environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
+the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.
 """
 
 from __future__ import annotations
@@ -95,8 +104,8 @@ def cmd_mul(args) -> tuple[int, Lines, dict]:
 def cmd_marks(args) -> tuple[int, Lines, dict]:
     if args.n < 1:
         raise ValueError(f"need n >= 1, got n={args.n}")
-    order = marks_vector_order(args.n)
     matrix = mark_matrix(args.n)
+    order = marks_vector_order(args.n)
 
     def lines():
         labels = [format_partition(mu) for mu in order]
@@ -389,6 +398,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SCALARS = (str, int, float, bool, type(None))
+_scalar = json.JSONEncoder().encode
+
+
+def _chunks(value, indent: str = ""):
+    """The text of `json.dumps(value, indent=2, sort_keys=True)` in pieces,
+    for a value whose current line is indented by `indent`.
+
+    That call runs json's pure-Python encoder, since the C encoder does no
+    indentation.  Here dicts and nested lists recurse in Python, and a list
+    or tuple of scalars is one C-encoder call whose item separator carries
+    the newline and the indent.  The pieces are written as they come, so
+    no copy of the whole document is ever built."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        opening = "{\n"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not isinstance(key, _SCALARS):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _scalar(key)
+            yield f"{opening}{inner}{_scalar(key)}: "
+            yield from _chunks(item, inner)
+            opening = ",\n"
+        yield f"\n{indent}}}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+        elif all(isinstance(item, _SCALARS) for item in value):
+            body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+            yield f"[\n{inner}{body[1:-1]}\n{indent}]"
+        else:
+            opening = "[\n"
+            for item in value:
+                yield opening + inner
+                yield from _chunks(item, inner)
+                opening = ",\n"
+            yield f"\n{indent}]"
+    else:
+        yield _scalar(value)
+
+
 def _emit(fmt: str, code: int, lines: Lines, payload: dict, diagnostics=None):
     if fmt == "structured":
         document = {
@@ -396,7 +451,8 @@ def _emit(fmt: str, code: int, lines: Lines, payload: dict, diagnostics=None):
             "payload": payload,
             "diagnostics": diagnostics or [],
         }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.writelines(_chunks(document))
+        sys.stdout.write("\n")
     else:
         for line in lines():
             print(line)

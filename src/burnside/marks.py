@@ -21,22 +21,32 @@ pattern, and the tests check that they agree:
   `fixed_points` (the checked public entry) and the mark columns that
   `marks_of` sums call it, with each basis key's sorted block tuple built
   once.  These need one cell or a few columns.
-- `_groupings` counts a whole row: the cycles of nu grouped by block,
+- `mark_rows` counts whole rows: the cycles of nu grouped by block,
   i.e. the set partitions of the cycles, counted by their multiset mu of
   group sums; each count times prod_k m_k(mu)!, the ways groups of equal
-  sum fill the blocks of that size, is the cell at mu.  `mark_matrix`
-  (and so `verify_injectivity` and `marks --n`) builds the matrix row by
-  row this way, filling only the nonzero cells: most cells of the matrix
-  are zero, and a cell-by-cell count spends most of its time finding that
-  out.  Routing the single-cell paths through whole rows instead costs
-  them far more than it saves, so each access pattern keeps its counter.
+  sum fill the blocks of that size, is the cell at mu.  A row holds only
+  its nonzero cells: most cells of the matrix are zero, and a
+  cell-by-cell count spends most of its time finding that out.  Routing
+  the single-cell paths through whole rows instead costs them far more
+  than it saves, so each access pattern keeps its counter.
+
+`_groupings` walks the trie of ascending cycle tuples depth first.  A
+child appends one cycle at least as long as the last, and each node's
+counts come from its parent's by one step of `_join` (the new cycle opens
+a group or joins one), so every prefix is extended exactly once, and
+cycle types that share their smallest cycles share that work.  Only the
+counts on the current path are alive: live memory is bounded by the path,
+not by the number of prefixes.  `mark_matrix` (`marks --n`) places each
+row at its index, and `verify_injectivity` judges the stored cells.  Both
+raise `CapExceeded` when the dense matrix would have more than
+`engine.TABLE_CAP` cells (p(n)^2 > 30M, so n >= 30), before any partition
+of n is enumerated.
 
 The order of the partitions of n and the mark column of each basis key
 that `marks_of` meets are cached for the life of the process (see
 `burnside.clear_caches`), so a mark vector is a sum of cached columns.
-`mark_matrix` is not cached: at n = 18 it has 148,225 cells, and the
-callers that need it ask for it once.  Its grouping counts are shared
-between the rows of one call only.
+Mark rows are not cached: at n = 18 the matrix has 148,225 cells, and the
+callers that need it ask for it once.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
+from .engine import TABLE_CAP, CapExceeded
 from .partitions import Partition, enumerate_partitions
 from .schur import SchurElement
 
@@ -94,33 +105,88 @@ def marks_vector_order(n: int) -> list[Partition]:
     return list(_order(n))
 
 
-def _groupings(cycles: tuple, memo: dict) -> dict:
-    """Set partitions of distinguishable cycles (lengths `cycles`, ascending)
-    counted by their group sums: {ascending tuple of group sums: count}.
+def _check_cells(n: int) -> None:
+    """Refuse a mark matrix of more than `TABLE_CAP` cells, p(n)^2, before
+    any partition of n is enumerated.  p(0), p(1), ... come from Euler's
+    pentagonal recurrence and stop at n or at the first k whose p(k)^2 is
+    over the cap, since p never decreases: the check is bounded by the cap,
+    whatever n is."""
+    counts = [1]
+    while len(counts) <= n:
+        k, total, j = len(counts), 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= k:
+                    total += sign * counts[k - g]
+            j += 1
+        if total * total > TABLE_CAP:
+            raise CapExceeded("mark-cells", TABLE_CAP, f"the mark matrix at n={n}")
+        counts.append(total)
 
-    `memo` maps each prefix of a cycle tuple already counted to its counts
-    and must hold {(): {(): 1}}; cycle types that share their smallest
-    cycles share that work.  The next cycle c either opens a group of its
-    own or joins one of the groups of some sum s, with as many choices as
-    groups of sum s."""
-    known = len(cycles)
-    while cycles[:known] not in memo:
-        known -= 1
-    counts = memo[cycles[:known]]
-    for k in range(known, len(cycles)):
-        c = cycles[k]
-        grown: dict = {}
+
+def _join(counts: dict, c: int) -> dict:
+    """One more cycle, of length c: set partitions of distinguishable cycles
+    counted by their group sums, {ascending tuple of group sums: count},
+    extended by c.  The cycle either opens a group of its own or joins one
+    of the groups of some sum s, with as many choices as groups of sum s."""
+    grown: dict = {}
+    for sums, count in counts.items():
+        key = tuple(sorted(sums + (c,)))
+        grown[key] = grown.get(key, 0) + count
+        for s in set(sums):
+            joined = list(sums)
+            joined.remove(s)
+            joined.append(s + c)
+            key = tuple(sorted(joined))
+            grown[key] = grown.get(key, 0) + sums.count(s) * count
+    return grown
+
+
+def _groupings(n: int):
+    """(ascending cycle tuple, grouping counts) for every cycle type of n.
+
+    Walks the trie of ascending cycle tuples depth first: a child appends
+    one cycle c at least the last one, and only if the remainder is 0 or
+    at least c, so every prefix is extended exactly once, and only the
+    counts of the prefixes on the current path are alive."""
+    path = []
+
+    def walk(counts, low, rest):
+        if not rest:
+            yield tuple(path), counts
+            return
+        for c in [*range(low, rest // 2 + 1), rest]:
+            path.append(c)
+            yield from walk(_join(counts, c), c, rest - c)
+            path.pop()
+
+    return walk({(): 1}, 1, n)
+
+
+def mark_rows(n: int):
+    """Rows of the matrix of basis marks: (nu, {column: mark}) for every
+    cycle type nu of n, holding only the nonzero cells.  Columns index
+    `marks_vector_order(n)`; the rows come in depth-first order of their
+    ascending cycle tuples, not in that order.
+
+    A grouping of the cycles of nu with group sums mu fills the blocks of
+    [P_mu] in prod_k m_k(mu)! ways.  Raises CapExceeded when the dense
+    matrix would have more than `TABLE_CAP` cells, before any work."""
+    _check_cells(n)
+    order = _order(n)
+    # ascending tuple of block sizes -> (column, ways to fill equal blocks)
+    columns = {tuple(reversed(mu)): (c, prod(factorial(mu.count(p)) for p in set(mu)))
+               for c, mu in enumerate(order)}
+
+    def row(counts):
+        cells = {}
         for sums, count in counts.items():
-            key = tuple(sorted(sums + (c,)))
-            grown[key] = grown.get(key, 0) + count
-            for s in set(sums):
-                joined = list(sums)
-                joined.remove(s)
-                joined.append(s + c)
-                key = tuple(sorted(joined))
-                grown[key] = grown.get(key, 0) + sums.count(s) * count
-        counts = memo[cycles[:k + 1]] = grown
-    return counts
+            c, ways = columns[sums]
+            cells[c] = count * ways
+        return cells
+
+    return ((order[columns[cycles][0]], row(counts)) for cycles, counts in _groupings(n))
 
 
 def mark_matrix(n: int) -> list[list[int]]:
@@ -130,20 +196,16 @@ def mark_matrix(n: int) -> list[list[int]]:
     Lower-triangular: a cycle of length bigger than every block cannot be
     placed, and more precisely the entry vanishes whenever nu > mu.
 
-    Built row by row from `_groupings`: a grouping of the cycles of nu with
-    group sums mu fills the blocks of [P_mu] in prod_k m_k(mu)! ways."""
+    The dense rendering of `mark_rows`, each row placed at its index."""
+    rows = mark_rows(n)
     order = _order(n)
-    # ascending tuple of block sizes -> (column, ways to fill equal blocks)
-    columns = {tuple(reversed(mu)): (c, prod(factorial(mu.count(p)) for p in set(mu)))
-               for c, mu in enumerate(order)}
-    memo: dict = {(): {(): 1}}
-    matrix = []
-    for nu in order:
+    position = {nu: r for r, nu in enumerate(order)}
+    matrix: list = [None] * len(order)
+    for nu, cells in rows:
         row = [0] * len(order)
-        for sums, count in _groupings(tuple(reversed(nu)), memo).items():
-            c, ways = columns[sums]
-            row[c] = count * ways
-        matrix.append(row)
+        for c, value in cells.items():
+            row[c] = value
+        matrix[position[nu]] = row
     return matrix
 
 
@@ -220,34 +282,37 @@ def marks_of(x: SchurElement) -> MarkVector:
 def verify_injectivity(n: int) -> dict:
     """Check the structural facts that make the mark vector injective at
     ambient n: entries above the diagonal vanish and diagonal entries do not.
-    Every cell of `mark_matrix(n)` is checked.  Returns a report with every
-    offending cell (empty failures means pass).
+    Every cell of the matrix is judged from `mark_rows(n)`: a cell absent
+    from a row is zero, so the stored cells above the diagonal and each
+    diagonal cell are the ones that can fail.  Returns a report with every
+    offending cell in (row, column) order (empty failures means pass).
     """
-    order = marks_vector_order(n)
-    failures = []
-    diagonal = []
-    for r, (nu, row) in enumerate(zip(order, mark_matrix(n))):
-        for c, (mu, value) in enumerate(zip(order, row)):
-            if r == c:
-                diagonal.append(value)
-                if value == 0:
-                    failures.append(
-                        {
-                            "cycle_type": list(nu),
-                            "basis_key": list(mu),
-                            "value": 0,
-                            "reason": "zero diagonal entry",
-                        }
-                    )
-            elif r < c and value != 0:
-                failures.append(
-                    {
-                        "cycle_type": list(nu),
-                        "basis_key": list(mu),
-                        "value": value,
-                        "reason": "nonzero entry above the diagonal",
-                    }
-                )
+    rows = mark_rows(n)
+    order = _order(n)
+    position = {nu: r for r, nu in enumerate(order)}
+    diagonal = [0] * len(order)
+    found: list = [()] * len(order)
+    for nu, cells in rows:
+        r = position[nu]
+        diagonal[r] = cells.get(r, 0)
+        failures = [
+            {
+                "cycle_type": list(nu),
+                "basis_key": list(order[c]),
+                "value": cells[c],
+                "reason": "nonzero entry above the diagonal",
+            }
+            for c in sorted(cells) if c > r and cells[c] != 0
+        ]
+        if diagonal[r] == 0:
+            failures.insert(0, {
+                "cycle_type": list(nu),
+                "basis_key": list(nu),
+                "value": 0,
+                "reason": "zero diagonal entry",
+            })
+        found[r] = failures
+    failures = [failure for row in found for failure in row]
     return {
         "n": n,
         "triangular": all(f["reason"] != "nonzero entry above the diagonal" for f in failures),

@@ -174,15 +174,38 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_structured_round_trips_exactly(capsys):
-    for argv in (
-        ["lambda", "--n", "4", "--i", "2", "--format", "structured"],
-        ["sigma", "--n", "3", "--i", "4", "--format", "structured"],
-        ["mul", "--n", "3", "--a", "[2,1]", "--b", "[2,1]", "--format", "structured"],
-    ):
-        code, out = run(capsys, *argv)
-        assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+def test_structured_round_trips_exactly(capsys, monkeypatch, tmp_path):
+    from burnside import cli
+    from burnside.partitions import TheoremViolation
+
+    group = tmp_path / "s3.grp"
+    group.write_text("(1 2)\n(1 2 3)\n")
+    documents = [
+        (0, ["lambda", "--n", "4", "--i", "2"]),
+        (0, ["lambda", "--n", "5", "--i", "3", "--method", "both"]),
+        (0, ["sigma", "--n", "3", "--i", "4"]),
+        (0, ["mul", "--n", "3", "--a", "[2,1]", "--b", "[2,1]"]),
+        (0, ["marks", "--n", "6"]),
+        (0, ["verify", "--n-max", "5"]),
+        (0, ["oracle", "--group", str(group), "--i", "2", "--action", "doubled"]),
+        (0, ["indres", "--i", "2", "--n", "3"]),
+        (3, ["marks", "--n", "40"]),
+        (2, ["lambda", "--n", "0", "--i", "1"]),
+        (2, ["oracle", "--group", str(tmp_path / "nope.grp"), "--i", "1"]),
+    ]
+    for expected, argv in documents:
+        code, out = run(capsys, *argv, "--format", "structured")
+        assert code == expected, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+    def violated(i, n):
+        raise TheoremViolation("closed sum \u2260 recursion\tat n=3")
+
+    monkeypatch.setattr(cli, "closed_lambda", violated)
+    code, out = run(capsys, "lambda", "--n", "3", "--i", "1", "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["payload"]["kind"] == "theorem"
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_deterministic_output(capsys):
@@ -218,6 +241,19 @@ def test_tall_sigma_finishes():
     ]
     points = sum(t["coefficient"] * cardinality(basis_element(t["partition"], 2)) for t in terms)
     assert points == comb(121, 120)
+
+
+def test_marks_past_the_cell_cap_exits_at_once():
+    # p(40)^2 is about 1.4e9 cells; the cap refuses it before enumerating
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "marks", "--n", "40", "--format", "structured"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)["payload"]
+    assert (payload["kind"], payload["which"], payload["cap"]) == ("cap", "mark-cells", 30_000_000)
 
 
 def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 from burnside import marks
 from burnside.engine import (
+    CapExceeded,
     Permutation,
     natural_gset,
     p_mu_gset,
@@ -139,12 +140,60 @@ def bell(k):
 
 def test_groupings_count_every_set_partition_of_the_cycles():
     assert [bell(k) for k in range(6)] == [1, 1, 2, 5, 15, 52]
-    memo = {(): {(): 1}}
     for n in range(11):
         for nu in enumerate_partitions(n):
-            counts = marks._groupings(tuple(reversed(nu)), memo)
+            counts = {(): 1}
+            for c in reversed(nu):
+                counts = marks._join(counts, c)
             assert sum(counts.values()) == bell(len(nu)), nu
             assert all(sum(sums) == n and list(sums) == sorted(sums) for sums in counts)
+
+
+def test_mark_rows_hold_every_cycle_type_once_with_its_nonzero_cells():
+    for n in range(13):
+        order = marks_vector_order(n)
+        rows = list(marks.mark_rows(n))
+        assert sorted(nu for nu, _ in rows) == sorted(order), n
+        for nu, cells in rows:
+            assert type(nu) is Partition
+            assert cells == {c: v for c, mu in enumerate(order)
+                             if (v := fixed_points(mu, nu))}, (n, nu)
+
+
+def test_the_walk_extends_every_prefix_once(monkeypatch):
+    # one step per prefix of an ascending cycle tuple of n, the nodes of
+    # the trie the rows are walked on
+    calls = []
+    real = marks._join
+
+    def counting(counts, c):
+        calls.append(c)
+        return real(counts, c)
+
+    monkeypatch.setattr(marks, "_join", counting)
+    for n in (6, 18):
+        calls.clear()
+        prefixes = {tuple(reversed(nu))[:k] for nu in enumerate_partitions(n)
+                    for k in range(1, len(nu) + 1)}
+        assert len(list(marks.mark_rows(n))) == len(enumerate_partitions(n))
+        assert len(calls) == len(prefixes)
+    assert len(prefixes) == 769
+
+
+def test_mark_cells_are_capped_before_any_partition_is_enumerated(monkeypatch):
+    def refuse(n):
+        raise AssertionError("partitions enumerated past the cap")
+
+    monkeypatch.setattr(marks, "_order", refuse)
+    monkeypatch.setattr(marks, "enumerate_partitions", refuse)
+    # p(29)^2 = 20,839,225 is within the 30M cap, p(30)^2 = 31,404,816 is not
+    marks._check_cells(29)
+    for build in (marks.mark_rows, mark_matrix, verify_injectivity):
+        for n in (30, 40, 10 ** 9):
+            with pytest.raises(CapExceeded) as exc:
+                build(n)
+            assert (exc.value.kind, exc.value.cap) == ("mark-cells", 30_000_000)
+            assert f"n={n}" in str(exc.value)
 
 
 def test_verify_injectivity_reports_a_cell_above_the_diagonal(monkeypatch):
@@ -155,12 +204,12 @@ def test_verify_injectivity_reports_a_cell_above_the_diagonal(monkeypatch):
     nu, mu = order[2], order[3]
     real = marks._groupings
 
-    def faulty(cycles, memo):
-        counts = real(cycles, memo)
-        if cycles == tuple(reversed(nu)):
-            counts = dict(counts)
-            counts[tuple(reversed(mu))] = 1
-        return counts
+    def faulty(n):
+        for cycles, counts in real(n):
+            if cycles == tuple(reversed(nu)):
+                counts = dict(counts)
+                counts[tuple(reversed(mu))] = 1
+            yield cycles, counts
 
     monkeypatch.setattr(marks, "_groupings", faulty)
     report = verify_injectivity(n)
@@ -172,6 +221,34 @@ def test_verify_injectivity_reports_a_cell_above_the_diagonal(monkeypatch):
         "value": prod(factorial(a) for a in alpha(mu)),
         "reason": "nonzero entry above the diagonal",
     }]
+
+
+def test_verify_injectivity_reports_missing_diagonal_cells_in_row_order(monkeypatch):
+    # the rows are walked in another order than the report's (row, column)
+    # order; a diagonal cell left out of its row counts as zero
+    n = 6
+    order = marks_vector_order(n)
+    real = marks._groupings
+    dropped = {tuple(reversed(order[r])) for r in (1, 8)}
+
+    def faulty(n):
+        for cycles, counts in real(n):
+            if cycles in dropped:
+                counts = {sums: c for sums, c in counts.items() if sums != cycles}
+            elif cycles == tuple(reversed(order[4])):
+                counts = dict(counts) | {tuple(reversed(order[9])): 2}
+            yield cycles, counts
+
+    monkeypatch.setattr(marks, "_groupings", faulty)
+    report = verify_injectivity(n)
+    assert not report["triangular"] and not report["diagonal_nonzero"]
+    assert [d == 0 for d in report["diagonal"]] == [r in (1, 8) for r in range(len(order))]
+    assert [(f["cycle_type"], f["basis_key"], f["reason"]) for f in report["failures"]] == [
+        (list(order[1]), list(order[1]), "zero diagonal entry"),
+        (list(order[4]), list(order[9]), "nonzero entry above the diagonal"),
+        (list(order[8]), list(order[8]), "zero diagonal entry"),
+    ]
+    assert report["cells_checked"] == len(order) ** 2
 
 
 def test_verify_injectivity_reports():
