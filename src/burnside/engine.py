@@ -35,22 +35,27 @@ No group element acts on a point object.  A pointwise action function
 given by a caller is adapted onto the same rows.
 
 Verified G-sets (natural sets, symmetric powers, block tuples, coset
-spaces, induced sets and, by default, sets built from a caller's
+spaces, induced sets and every set built from a caller's
 action) evaluate the row of every element and store the rows,
 |G|·|X| entries, so every later application is a list lookup.  Verification
 checks that every row has one entry per point and every entry indexes a
 point, that the identity's row fixes every point, and that
 T_{s·g} = T_s ∘ T_g for every generator s and every element g.  Products,
 disjoint unions and restrictions are not verified, because their axioms
-follow from their verified parents, and stay lazy: a row or a single
-image is computed from the parents' rows when asked for.  Storing the
-rows of a product of coset spaces would take |G|·|X|·|Y| entries to
-answer a few orbit and stabilizer queries.  Products of validated
-permutations skip the bijection check, which only outside input needs.
+follow from their verified parents: once their size is checked by
+arithmetic they are built through the plain `GSet` constructor, and stay
+lazy: a row or a single image is computed from the parents' rows when
+asked for.  Storing the rows of a product of coset spaces would take
+|G|·|X|·|Y| entries to answer a few orbit and stabilizer queries.  Products
+of validated permutations skip the bijection check, which only outside
+input needs.
 
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
-naming the offending construction instead of truncating silently.
+naming the offending construction instead of truncating silently.  Each
+cap is read where it is checked: the group-order cap from
+`group_cap_default()` (the BURNSIDE_GROUP_CAP environment variable), the
+point and table caps from the module constants.
 
 `BurnsideElement`'s additive arithmetic, the λ recursion and the closed
 signed sum are shared with the Schur side in `ring.py`; this module gives
@@ -97,6 +102,13 @@ class CapExceeded(Exception):
         self.cap = cap
         self.construction = construction
         super().__init__(f"{kind} cap {cap} exceeded while building {construction}")
+
+
+def _check_points(count: int, label: str) -> None:
+    """Refuse a G-set of more than DEFAULT_POINT_CAP points, from its size
+    alone, before any point is listed."""
+    if count > DEFAULT_POINT_CAP:
+        raise CapExceeded("point-count", DEFAULT_POINT_CAP, label)
 
 
 class GroupFileError(ValueError):
@@ -355,13 +367,7 @@ class PermGroup:
         order that keeps an element whenever it is not generated by those
         already kept."""
         if self._gens is None:
-            gens: list[Permutation] = []
-            known = {self.identity.images}
-            for g in self.elements:
-                if g.images not in known:
-                    gens.append(g)
-                    known = _closure(known | {g.images}, gens)
-            self._gens = tuple(gens)
+            self._gens = tuple(_sweep(self.elements, self.identity)[0])
         return self._gens
 
     def left_multiples(self) -> list[tuple[int, list[int]]]:
@@ -436,6 +442,19 @@ class PermGroup:
         for conj in conjugates:
             self._key_cache[conj] = best
         return best
+
+    def _is_class_key(self, key: tuple) -> bool:
+        """Whether key is the canonical key of a subgroup: strictly
+        increasing element indices of a set that its own greedy generators
+        close to, least over its conjugates."""
+        if not key or any(type(i) is not int or not 0 <= i < self.order for i in key):
+            return False
+        if list(key) != sorted(set(key)):
+            return False
+        members = [self.elements[i] for i in key]
+        if _sweep(members, self.identity)[1] != {g.images for g in members}:
+            return False
+        return self._canonical_key(frozenset(key)) == key
 
     def _products(self, g: Permutation, rights0) -> list[int]:
         """The index of g·h for each h, given as its `_zero_based` images:
@@ -516,6 +535,19 @@ def _zero_based(g: Permutation) -> tuple[int, ...]:
     return tuple([p - 1 for p in g.images])
 
 
+def _sweep(elements, identity: Permutation) -> tuple[list[Permutation], set]:
+    """A greedy sweep in the given order that keeps an element whenever it
+    is not generated by those already kept: the kept elements, and the
+    image tuples of the group they generate."""
+    gens: list[Permutation] = []
+    known = {identity.images}
+    for g in elements:
+        if g.images not in known:
+            gens.append(g)
+            known = _closure(known | {g.images}, gens)
+    return gens, known
+
+
 def _closure(seed: set, gens, cap: int | None = None, construction: str = "") -> set:
     """The image tuples of the elements generated from the image tuples in
     seed by right multiplication with the generators; once the set would
@@ -538,12 +570,11 @@ def _closure(seed: set, gens, cap: int | None = None, construction: str = "") ->
     return out
 
 
-def group_closure(generators, cap: int | None = None, degree: int | None = None) -> PermGroup:
+def group_closure(generators, degree: int | None = None) -> PermGroup:
     """Close a generator list into an explicit PermGroup, failing with a
-    structured error once the element count would pass the cap.  The
-    closure runs on image tuples, and each element is wrapped once."""
-    if cap is None:
-        cap = group_cap_default()
+    structured error once the element count would pass the group-order cap
+    (`group_cap_default()`).  The closure runs on image tuples, and each
+    element is wrapped once."""
     generators = list(generators)
     if degree is None:
         if not generators:
@@ -558,7 +589,7 @@ def group_closure(generators, cap: int | None = None, degree: int | None = None)
     seen = _closure(
         {tuple(range(1, degree + 1))},
         generators,
-        cap,
+        group_cap_default(),
         f"closure of {len(generators)} generators",
     )
     return PermGroup(degree, map(Permutation._trusted, seen), generators=generators)
@@ -610,16 +641,16 @@ class Rows:
 
     ``row(gset, k)`` returns the image index of every point of gset, in
     point order, under the group element with index k.  ``image(gset, k,
-    idx)`` returns one entry of that row; when omitted it reads the row.
-    Lazy composites give it so that a stabilizer sweep costs one index
-    computation per element instead of one row.
+    idx)`` returns one entry of that row.  Lazy composites give it so that
+    a stabilizer sweep costs one index computation per element instead of
+    one row; a verified set reads its stored rows and needs none.
     """
 
     __slots__ = ("row", "image")
 
     def __init__(self, row, image=None):
         self.row = row
-        self.image = image if image is not None else (lambda gset, k, idx: row(gset, k)[idx])
+        self.image = image
 
 
 def _pointwise(act_fn) -> Rows:
@@ -648,15 +679,17 @@ class GSet:
 
     Row k lists the image index of every point under the group element
     with index k (see `Rows`); a pointwise action function is adapted onto
-    rows.  A verified G-set (``from_point_action`` with ``verify=True``)
-    evaluates the row of every element, checks the action axioms on them
-    and stores them, |G|·|X| entries in all, so ``row``, ``act``,
-    ``act_index`` and ``table`` are list lookups.  Unverified composites
-    (products, disjoint unions, restrictions) take their axioms from their
-    verified parents and stay lazy: each row or single image is computed
-    from the parents' rows when asked for.  A product's point count is the
-    product of its factors', so storing its rows would cost more than the
-    few orbit and stabilizer queries it answers.
+    rows.  ``from_point_action`` caps the points and verifies the action:
+    it evaluates the row of every element, checks the action axioms on
+    them and stores them, |G|·|X| entries in all, so ``row``, ``act``,
+    ``act_index`` and ``table`` are list lookups.  The plain constructor
+    is the trusted path: it neither caps nor verifies.  The composites
+    (products, disjoint unions, restrictions) use it after checking their
+    size by arithmetic, take their axioms from their verified parents and
+    stay lazy: each row or single image is computed from the parents' rows
+    when asked for.  A product's point count is the product of its
+    factors', so storing its rows would cost more than the few orbit and
+    stabilizer queries it answers.
     """
 
     def __init__(self, group: PermGroup, points, act_fn, label: str = "gset"):
@@ -671,24 +704,15 @@ class GSet:
         self._tables: list[list[int]] | None = None
 
     @classmethod
-    def from_point_action(
-        cls,
-        group: PermGroup,
-        points,
-        act_fn,
-        label: str = "gset",
-        verify: bool = True,
-        point_cap: int = DEFAULT_POINT_CAP,
-    ) -> GSet:
-        """Build a G-set from its points and its action, either `Rows` or a
-        pointwise act_fn(g, point) -> point.  Points may be a generator: at
-        most point_cap + 1 are drawn from it before the cap is enforced."""
-        points = list(itertools.islice(points, point_cap + 1))
-        if len(points) > point_cap:
-            raise CapExceeded("point-count", point_cap, label)
+    def from_point_action(cls, group: PermGroup, points, act_fn, label: str = "gset") -> GSet:
+        """Build and verify a G-set from its points and its action, either
+        `Rows` or a pointwise act_fn(g, point) -> point.  Points may be a
+        generator: at most DEFAULT_POINT_CAP + 1 are drawn from it before
+        the cap is enforced."""
+        points = list(itertools.islice(points, DEFAULT_POINT_CAP + 1))
+        _check_points(len(points), label)
         gset = cls(group, points, act_fn, label=label)
-        if verify:
-            gset._verify_action()
+        gset._verify_action()
         return gset
 
     @property
@@ -790,9 +814,11 @@ def product_gset(s: GSet, t: GSet) -> GSet:
     """Cartesian product with the diagonal action; the pair of point
     indices (a, b) has index a·|t| + b.  Built from the two verified
     component actions, so the axioms hold by construction and are not
-    re-verified."""
+    re-verified; the size |s|·|t| is checked before any pair is listed."""
     if s.group is not t.group and s.group != t.group:
         raise ValueError("product requires the same group")
+    label = f"({s.label}) x ({t.label})"
+    _check_points(s.size * t.size, label)
     points = [(p, q) for p in s.points for q in t.points]
     nt = t.size
 
@@ -804,9 +830,7 @@ def product_gset(s: GSet, t: GSet) -> GSet:
         a, b = divmod(idx, nt)
         return s._image(k, a) * nt + t._image(k, b)
 
-    return GSet.from_point_action(
-        s.group, points, Rows(row, image), label=f"({s.label}) x ({t.label})", verify=False
-    )
+    return GSet(s.group, points, Rows(row, image), label=label)
 
 
 def disjoint_union(s: GSet, t: GSet) -> GSet:
@@ -814,6 +838,8 @@ def disjoint_union(s: GSet, t: GSet) -> GSet:
     axioms inherited from the verified components, so not re-verified."""
     if s.group is not t.group and s.group != t.group:
         raise ValueError("disjoint union requires the same group")
+    label = f"({s.label}) + ({t.label})"
+    _check_points(s.size + t.size, label)
     points = [(0, p) for p in s.points] + [(1, q) for q in t.points]
     ns = s.size
 
@@ -823,12 +849,10 @@ def disjoint_union(s: GSet, t: GSet) -> GSet:
     def image(gset, k, idx):
         return s._image(k, idx) if idx < ns else ns + t._image(k, idx - ns)
 
-    return GSet.from_point_action(
-        s.group, points, Rows(row, image), label=f"({s.label}) + ({t.label})", verify=False
-    )
+    return GSet(s.group, points, Rows(row, image), label=label)
 
 
-def symmetric_power(s: GSet, i: int, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
+def symmetric_power(s: GSet, i: int) -> GSet:
     """The G-set of size-i multisets over s, as weakly increasing tuples of
     point indices."""
     if i < 0:
@@ -839,16 +863,10 @@ def symmetric_power(s: GSet, i: int, point_cap: int = DEFAULT_POINT_CAP) -> GSet
         get, index = s.row(k).__getitem__, gset._index
         return [index[tuple(sorted(map(get, m)))] for m in gset.points]
 
-    return GSet.from_point_action(
-        s.group,
-        points,
-        Rows(row),
-        label=f"sym^{i}({s.label})",
-        point_cap=point_cap,
-    )
+    return GSet.from_point_action(s.group, points, Rows(row), label=f"sym^{i}({s.label})")
 
 
-def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
+def p_mu_gset(s: GSet, mu) -> GSet:
     """The G-set of tuples of pairwise disjoint subsets of s with block j of
     size mu_j.  Blocks are ordered (tuples, not sets of blocks); each block
     is a sorted tuple of point indices.  Empty when weight(mu) > |s|.
@@ -879,23 +897,16 @@ def p_mu_gset(s: GSet, mu, point_cap: int = DEFAULT_POINT_CAP) -> GSet:
         index = gset._index
         return [index[tuple(map(moved, point))] for point in gset.points]
 
-    return GSet.from_point_action(
-        s.group,
-        points,
-        Rows(row),
-        label=_p_mu_label(mu, s),
-        point_cap=point_cap,
-    )
+    return GSet.from_point_action(s.group, points, Rows(row), label=_p_mu_label(mu, s))
 
 
 def _p_mu_label(mu, s: GSet) -> str:
     return "P_(" + ",".join(str(p) for p in mu) + f")({s.label})"
 
 
-def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
+def orbits(s: GSet) -> list[list[int]]:
     """Orbits as sorted lists of point indices, ordered by least element."""
-    group = _resolve_group(s, group)
-    tables = [s.table(g) for g in group.generators()]
+    tables = [s.table(g) for g in s.group.generators()]
     seen = [False] * s.size
     out = []
     for start in range(s.size):
@@ -916,26 +927,21 @@ def orbits(s: GSet, group: PermGroup | None = None) -> list[list[int]]:
     return out
 
 
-def stabilizer(s: GSet, point, group: PermGroup | None = None) -> PermGroup:
+def stabilizer(s: GSet, point) -> PermGroup:
     """The subgroup fixing one point."""
-    group = _resolve_group(s, group)
+    group = s.group
     elements = group.elements
     return PermGroup(
         group.degree, [elements[k] for k in s._stabilizer_indices(s.index_of(point))]
     )
 
 
-def _resolve_group(s: GSet, group: PermGroup | None) -> PermGroup:
-    if group is not None and group != s.group:
-        raise ValueError("group does not match the G-set's group")
-    return s.group
-
-
 class BurnsideElement(Combination):
     """An integer combination of transitive G-set classes for a fixed group,
     keyed by canonical stabilizer fingerprints.  Immutable; zero
     coefficients are dropped (`ring.Combination`); the product is
-    `burnside_mul`."""
+    `burnside_mul`.  The constructor refuses a key that is not the
+    canonical key of a subgroup (`PermGroup._is_class_key`)."""
 
     __slots__ = ()
     _MISMATCH = "group mismatch"
@@ -946,6 +952,8 @@ class BurnsideElement(Combination):
             c = int(c)
             if c:
                 key = tuple(key)
+                if not group._is_class_key(key):
+                    raise ValueError(f"{key} is not the canonical key of a subgroup")
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
@@ -1017,10 +1025,10 @@ class BurnsideElement(Combination):
         return f"<BurnsideElement over {self.group!r}: {len(self.coeffs)} classes>"
 
 
-def decompose(s: GSet, group: PermGroup | None = None) -> BurnsideElement:
+def decompose(s: GSet) -> BurnsideElement:
     """Express a G-set in the transitive basis: one pass over orbits,
     classifying each by the canonical key of a point stabilizer."""
-    group = _resolve_group(s, group)
+    group = s.group
     coeffs: dict[tuple, int] = {}
     for orbit in orbits(s):
         key = group._canonical_key(frozenset(s._stabilizer_indices(orbit[0])))
@@ -1049,14 +1057,14 @@ def burnside_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     return BurnsideElement._trusted(group, out)
 
 
-def lambda_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElement:
+def lambda_general(s: GSet, i: int) -> BurnsideElement:
     """Exterior-power classes of an arbitrary G-set via the recursion
     opposite to the symmetric powers (`ring.recursion_step`), entirely
     inside the engine: symmetric powers are decomposed by brute force and
     multiplied in the transitive basis.  Vanishing above |s| is a theorem,
     so it is checked, not assumed: a nonzero value there raises
     TheoremViolation."""
-    group = _resolve_group(s, group)
+    group = s.group
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
     one = BurnsideElement.one(group)
@@ -1068,13 +1076,13 @@ def lambda_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideE
     return lam[i]
 
 
-def eq6_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElement:
+def eq6_general(s: GSet, i: int) -> BurnsideElement:
     """Exterior-power classes by the closed signed sum over the classes of
     the block-tuple sets P_mu(s), mu a partition of i (`ring.closed_terms`).
     |P_mu(s)| = |s|!/(prod mu_j! (|s| - i)!) is checked against the point
     and then the table cap for every mu before any P_mu(s) is built, so an
     over-cap input fails at once, with the first over-cap build's error."""
-    group = _resolve_group(s, group)
+    group = s.group
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
     if i == 0:
@@ -1084,8 +1092,7 @@ def eq6_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElem
     terms = list(closed_terms(i))
     for mu, _ in terms:
         points = _points(pad(mu, s.size))
-        if points > DEFAULT_POINT_CAP:
-            raise CapExceeded("point-count", DEFAULT_POINT_CAP, _p_mu_label(mu, s))
+        _check_points(points, _p_mu_label(mu, s))
         if group.order * points > TABLE_CAP:
             raise CapExceeded("table-entries", TABLE_CAP, _p_mu_label(mu, s))
     total = BurnsideElement.zero(group)
@@ -1094,17 +1101,12 @@ def eq6_general(s: GSet, i: int, group: PermGroup | None = None) -> BurnsideElem
     return total
 
 
-def extend_homomorphism(
-    h: PermGroup, gen_images: dict, target_degree: int | None = None
-) -> dict:
+def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> dict:
     """Extend a map on a generating set of h to all of h by word expansion,
     rejecting anything that is not a homomorphism.  Every product extension
     step is checked against previously assigned values, which covers the
-    full multiplication table by induction on word length.
-
-    The target degree is read off the images; it must be given explicitly
-    when gen_images is empty (h trivial) and the target differs from h.
-    """
+    full multiplication table by induction on word length.  Every image
+    must have the target degree."""
     gens = list(gen_images)
     for g in gens:
         if g not in h:
@@ -1112,15 +1114,10 @@ def extend_homomorphism(
     degrees = {img.degree for img in gen_images.values()}
     if len(degrees) > 1:
         raise ValueError("generator images have inconsistent degrees")
-    if degrees:
-        found = degrees.pop()
-        if target_degree is not None and found != target_degree:
-            raise ValueError(
-                f"generator images have degree {found}, expected {target_degree}"
-            )
-        target_degree = found
-    elif target_degree is None:
-        target_degree = h.degree
+    if degrees and degrees != {target_degree}:
+        raise ValueError(
+            f"generator images have degree {degrees.pop()}, expected {target_degree}"
+        )
     phi = {h.identity: Permutation.identity(target_degree)}
     frontier = [h.identity]
     while frontier:
@@ -1156,7 +1153,7 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
                 )
         phi = {g: g for g in h.elements}
     else:
-        phi = extend_homomorphism(h, gen_images, target_degree=s.group.degree)
+        phi = extend_homomorphism(h, gen_images, s.group.degree)
         for image in phi.values():
             if image not in s.group:
                 raise ValueError(f"image {image} is not in the acting group")
@@ -1166,9 +1163,9 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
         lambda gset, k: s.row(phi_index[k]),
         lambda gset, k, idx: s._image(phi_index[k], idx),
     )
-    return GSet.from_point_action(
-        h, s.points, rows, label=f"res({s.label})", verify=False
-    )
+    label = f"res({s.label})"
+    _check_points(s.size, label)
+    return GSet(h, s.points, rows, label=label)
 
 
 def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
@@ -1207,7 +1204,9 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
                 split[gm] = (j, hk)
         if None in split:
             raise ValueError("invalid transversal: cosets do not cover the group")
-    points = [(j, p) for j in range(len(reps)) for p in s.points]
+    label = f"ind({s.label})"
+    _check_points(len(reps) * s.size, label)
+    points = ((j, p) for j in range(len(reps)) for p in s.points)
     elements, nx = group.elements, s.size
     reps0 = [_zero_based(g) for g in reps]
 
@@ -1219,9 +1218,7 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
             out += [base + v for v in s.row(hk)]
         return out
 
-    return GSet.from_point_action(
-        group, points, Rows(row), label=f"ind({s.label})"
-    )
+    return GSet.from_point_action(group, points, Rows(row), label=label)
 
 
 def _young_projection_images(i: int, n: int) -> dict:
@@ -1314,15 +1311,12 @@ def schur_membership(s: GSet) -> list[dict]:
     return verdicts
 
 
-def schur_to_burnside(x: SchurElement, group: PermGroup | None = None) -> BurnsideElement:
+def schur_to_burnside(x: SchurElement) -> BurnsideElement:
     """Reinterpret a block-tuple basis combination inside the Burnside ring
     of the full symmetric group, via the block stabilizer classes."""
-    if group is None:
-        group = symmetric_group(x.ambient)
-    if group.degree != x.ambient or not group.is_full_symmetric():
-        raise ValueError(f"need the full symmetric group of degree {x.ambient}")
+    group = symmetric_group(x.ambient)
     keys = group.young_keys()
-    return BurnsideElement(group, {keys[mu]: c for mu, c in x.coeffs.items()})
+    return BurnsideElement._trusted(group, {keys[mu]: c for mu, c in x.coeffs.items()})
 
 
 def burnside_to_schur(x: BurnsideElement) -> SchurElement:

@@ -7,8 +7,10 @@ stabilizers along an orbit, coset counts) and on tiny worked examples.
 
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from math import factorial
 from pathlib import Path
 
@@ -142,17 +144,20 @@ def test_group_closure_orders():
     assert trivial.order == 1 and trivial.degree == 3
 
 
-def test_group_closure_cap():
+def test_group_closure_cap(monkeypatch):
     gens = [parse_permutation("(1 2)", 5), parse_permutation("(1 2 3 4 5)")]
+    monkeypatch.setenv("BURNSIDE_GROUP_CAP", "10")
     with pytest.raises(CapExceeded) as exc:
-        group_closure(gens, cap=10)
+        group_closure(gens)
     assert exc.value.kind == "group-order"
     assert exc.value.cap == 10
     assert "closure" in exc.value.construction
     # the cap fires at exactly cap + 1 elements
-    assert group_closure(gens, cap=120).order == 120
+    monkeypatch.setenv("BURNSIDE_GROUP_CAP", "120")
+    assert group_closure(gens).order == 120
+    monkeypatch.setenv("BURNSIDE_GROUP_CAP", "119")
     with pytest.raises(CapExceeded):
-        group_closure(gens, cap=119)
+        group_closure(gens)
     with pytest.raises(ValueError):
         group_closure([parse_permutation("(1 2)"), parse_permutation("(1 2 3)")])
 
@@ -234,9 +239,11 @@ def test_tables_match_pointwise_action():
             assert nat.points[table[idx]] == g(p)
 
 
-def test_point_cap():
+def test_point_cap(monkeypatch):
+    nat = natural_gset(symmetric_group(4))
+    monkeypatch.setattr(engine, "DEFAULT_POINT_CAP", 5)
     with pytest.raises(CapExceeded) as exc:
-        symmetric_power(natural_gset(symmetric_group(4)), 3, point_cap=5)
+        symmetric_power(nat, 3)
     assert exc.value.kind == "point-count"
     assert exc.value.cap == 5
 
@@ -490,6 +497,16 @@ def test_burnside_to_schur_rejects_non_block_classes():
     )
     with pytest.raises(ValueError, match="not a block-tuple"):
         burnside_to_schur(decompose(outer))
+
+
+@pytest.mark.parametrize("key", [(0, 5), (1, 2), (7,), (), (0, 0, 1), (-1, 0)])
+def test_burnside_element_rejects_keys_that_are_not_class_keys(key):
+    # over S_3, (0, 5) is {(), (1 3)}, a conjugate of the canonical (0, 1);
+    # (1, 2) lacks the identity; (7,) indexes no element
+    group = symmetric_group(3)
+    assert BurnsideElement(group, {(0, 1): 2}).coeffs == {(0, 1): 2}
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        BurnsideElement(group, {key: 1})
 
 
 # ------------------------------------------------------------------ rendering
@@ -807,10 +824,12 @@ def test_point_cap_stops_generation():
     # 30^6 ordered 6-tuples of distinct points and C(37, 8) multisets: the
     # cap must stop the enumeration, not only reject its result
     script = (
+        "from burnside import engine\n"
         "from burnside.engine import CapExceeded, cyclic_group, natural_gset, p_mu_gset, symmetric_power\n"
+        "engine.DEFAULT_POINT_CAP = 1000\n"
         "nat = natural_gset(cyclic_group(30))\n"
-        "for build in (lambda: p_mu_gset(nat, (1,) * 6, point_cap=1000),\n"
-        "              lambda: symmetric_power(nat, 8, point_cap=1000)):\n"
+        "for build in (lambda: p_mu_gset(nat, (1,) * 6),\n"
+        "              lambda: symmetric_power(nat, 8)):\n"
         "    try:\n"
         "        build()\n"
         "    except CapExceeded as exc:\n"
@@ -824,3 +843,58 @@ def test_point_cap_stops_generation():
         "point-count 1000 P_(1,1,1,1,1,1)(natural({1..30}))",
         "point-count 1000 sym^8(natural({1..30}))",
     ]
+
+
+def test_patched_point_cap_is_read_by_every_build(monkeypatch):
+    nat = natural_gset(symmetric_group(5))
+    square = product_gset(nat, nat)
+    monkeypatch.setattr(engine, "DEFAULT_POINT_CAP", 20)
+    errors = []
+    # P_(2,1) has 30 points, sym^3 has 35, eq6_general(nat, 3) needs P_(2,1),
+    # and the square, built under the default cap, has 25
+    for build in (lambda: p_mu_gset(nat, (2, 1)), lambda: symmetric_power(nat, 3),
+                  lambda: eq6_general(nat, 3), lambda: restrict(square, young_subgroup(2, 5))):
+        with pytest.raises(CapExceeded) as exc:
+            build()
+        errors.append((exc.value.kind, exc.value.cap, exc.value.construction))
+    assert errors == [
+        ("point-count", 20, "P_(2,1)(natural({1..5}))"),
+        ("point-count", 20, "sym^3(natural({1..5}))"),
+        ("point-count", 20, "P_(2,1)(natural({1..5}))"),
+        ("point-count", 20, "res((natural({1..5})) x (natural({1..5})))"),
+    ]
+
+
+def _fixed_points(group, count):
+    """A G-set of count points, each fixed by every element."""
+    return GSet.from_point_action(group, range(count), lambda g, p: p)
+
+
+def _over_cap(composite):
+    """A composite of more than DEFAULT_POINT_CAP points over parents under
+    it, as a thunk, and the construction its error names."""
+    if composite == "product":
+        s6 = symmetric_group(6)
+        regular = s6.coset_space(s6.canonical_key([s6.identity]))  # 720 points
+        return (lambda: product_gset(regular, regular),
+                "(coset space G/H, |H|=1) x (coset space G/H, |H|=1)")
+    if composite == "union":
+        half = _fixed_points(cyclic_group(2), 100_001)
+        return lambda: disjoint_union(half, half), "(gset) + (gset)"
+    line = _fixed_points(group_closure([], degree=2), 100_001)
+    return lambda: induce(line, cyclic_group(2)), "ind(gset)"
+
+
+@pytest.mark.parametrize("composite", ["product", "union", "induced"])
+def test_over_cap_composite_is_refused_before_any_point_is_listed(composite):
+    build, construction = _over_cap(composite)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.kind, exc.value.cap, exc.value.construction) == (
+        "point-count", engine.DEFAULT_POINT_CAP, construction)
+    assert peak < 1_000_000
