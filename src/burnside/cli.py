@@ -21,7 +21,9 @@ or a theorem check raised TheoremViolation (an implementation bug, since
 the underlying facts are theorems), 2 usage or input error, 3 resource cap
 exceeded.  The group-order cap can be raised through the BURNSIDE_GROUP_CAP
 environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
-the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.
+the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.  An input whose
+counting recursion would pass Python's recursion limit, such as a `mul`
+operand with a thousand parts, is reported as the recursion-depth cap.
 """
 
 from __future__ import annotations
@@ -136,6 +138,18 @@ def cmd_marks(args) -> tuple[int, Lines, dict]:
     return 0, lines, payload
 
 
+def _tally(cases, failure) -> dict:
+    """Check every case in order: failure(*case) is None on a pass and the
+    failure record otherwise."""
+    total, failures = 0, []
+    for case in cases:
+        total += 1
+        record = failure(*case)
+        if record is not None:
+            failures.append(record)
+    return {"passed": total - len(failures), "total": total, "failures": failures}
+
+
 def cmd_verify(args) -> tuple[int, Lines, dict]:
     n_max = args.n_max
     if n_max < 1:
@@ -144,70 +158,55 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
     if i_max < 0:
         raise ValueError(f"need i-max >= 0, got {i_max}")
 
-    equal_total = equal_pass = 0
-    equal_failures = []
-    for n in range(1, n_max + 1):
-        for i in range(1, min(n, i_max) + 1):
-            equal_total += 1
-            if closed_lambda(i, n) == recursive_lambda(i, n):
-                equal_pass += 1
-            else:
-                equal_failures.append({"i": i, "n": n})
-
-    vanish_total = vanish_pass = 0
-    vanish_failures = []
-    for n in range(1, n_max + 1):
-        for i in range(n + 1, i_max + 1):
-            vanish_total += 1
-            if recursive_lambda(i, n).is_zero() and closed_lambda(i, n).is_zero():
-                vanish_pass += 1
-            else:
-                vanish_failures.append({"i": i, "n": n})
-
-    tri_total = tri_pass = 0
-    tri_failures = []
-    for n in range(1, n_max + 1):
-        tri_total += 1
+    def untriangular(n):
         report = verify_injectivity(n)
         if report["triangular"] and report["diagonal_nonzero"]:
-            tri_pass += 1
-        else:
-            tri_failures.append({"n": n, "failures": report["failures"]})
+            return None
+        return {"n": n, "failures": report["failures"]}
 
-    leading: dict = {"checked": 0, "passed": 0, "failures": []}
     k = (n_max - 1) // 2
-    if k >= 1:
-        bound = n_max // 2
-        keys = list(enumerate_partitions(n_max))
-        for a in range(len(keys)):
-            for b in range(a, len(keys)):
-                if degree(keys[a], n_max, k) + degree(keys[b], n_max, k) > bound:
-                    continue
-                leading["checked"] += 1
-                report = leading_term_check(keys[a], keys[b], n_max, k)
-                if report["ok"]:
-                    leading["passed"] += 1
-                else:
-                    leading["failures"].append(report)
+    keys = list(enumerate_partitions(n_max)) if k >= 1 else []
 
-    all_pass = (
-        equal_pass == equal_total
-        and vanish_pass == vanish_total
-        and tri_pass == tri_total
-        and leading["passed"] == leading["checked"]
+    def off_leading(a, b):
+        report = leading_term_check(a, b, n_max, k)
+        return None if report["ok"] else report
+
+    equal = _tally(
+        ((i, n) for n in range(1, n_max + 1) for i in range(1, min(n, i_max) + 1)),
+        lambda i, n: None if closed_lambda(i, n) == recursive_lambda(i, n) else {"i": i, "n": n},
     )
+    vanish = _tally(
+        ((i, n) for n in range(1, n_max + 1) for i in range(n + 1, i_max + 1)),
+        lambda i, n: (
+            None if recursive_lambda(i, n).is_zero() and closed_lambda(i, n).is_zero()
+            else {"i": i, "n": n}
+        ),
+    )
+    tri = _tally(((n,) for n in range(1, n_max + 1)), untriangular)
+    leading = _tally(
+        (
+            (a, b)
+            for j, a in enumerate(keys)
+            for b in keys[j:]
+            if degree(a, n_max, k) + degree(b, n_max, k) <= n_max // 2
+        ),
+        off_leading,
+    )
+    leading["checked"] = leading.pop("total")
+
+    all_pass = not any(t["failures"] for t in (equal, vanish, tri, leading))
     verdict = "PASS" if all_pass else "FAIL"
     final = (
-        f"{verdict}: {equal_pass}/{equal_total} lambda equalities, "
-        f"{tri_pass}/{tri_total} mark matrices triangular"
+        f"{verdict}: {equal['passed']}/{equal['total']} lambda equalities, "
+        f"{tri['passed']}/{tri['total']} mark matrices triangular"
     )
     lines = [
         f"lambda equalities (closed vs recursive), 1 <= i <= n <= {n_max}: "
-        f"{equal_pass}/{equal_total}",
+        f"{equal['passed']}/{equal['total']}",
         f"vanishing above n (both constructions), n < i <= {i_max}: "
-        f"{vanish_pass}/{vanish_total}",
+        f"{vanish['passed']}/{vanish['total']}",
         f"mark matrices lower-triangular with nonzero diagonal, n <= {n_max}: "
-        f"{tri_pass}/{tri_total}",
+        f"{tri['passed']}/{tri['total']}",
     ]
     if k >= 1:
         lines.append(
@@ -218,21 +217,9 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
     payload = {
         "n_max": n_max,
         "i_max": i_max,
-        "lambda_equalities": {
-            "passed": equal_pass,
-            "total": equal_total,
-            "failures": equal_failures,
-        },
-        "vanishing": {
-            "passed": vanish_pass,
-            "total": vanish_total,
-            "failures": vanish_failures,
-        },
-        "mark_matrices": {
-            "passed": tri_pass,
-            "total": tri_total,
-            "failures": tri_failures,
-        },
+        "lambda_equalities": equal,
+        "vanishing": vanish,
+        "mark_matrices": tri,
         "leading_terms": leading,
         "final": final,
     }
@@ -444,12 +431,12 @@ def _chunks(value, indent: str = ""):
         yield _scalar(value)
 
 
-def _emit(fmt: str, code: int, lines: Lines, payload: dict, diagnostics=None):
+def _emit(fmt: str, code: int, lines: Lines, payload: dict):
     if fmt == "structured":
         document = {
             "status": "ok" if code == 0 else "error",
             "payload": payload,
-            "diagnostics": diagnostics or [],
+            "diagnostics": [],
         }
         sys.stdout.writelines(_chunks(document))
         sys.stdout.write("\n")
@@ -464,7 +451,13 @@ def main(argv=None) -> int:
     fmt = args.format
     try:
         code, lines, payload = args.func(args)
-    except CapExceeded as exc:
+    except (CapExceeded, RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            # a recursion once per row or column of the input ran out of
+            # Python's stack: the input is past what this build can answer
+            exc = CapExceeded(
+                "recursion-depth", sys.getrecursionlimit(), f"the {args.command} answer"
+            )
         _emit(
             fmt,
             3,

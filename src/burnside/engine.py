@@ -55,7 +55,11 @@ table sizes are capped, and every cap violation raises a structured error
 naming the offending construction instead of truncating silently.  Each
 cap is read where it is checked: the group-order cap from
 `group_cap_default()` (the BURNSIDE_GROUP_CAP environment variable), the
-point and table caps from the module constants.
+point and table caps from the module constants.  One size check,
+`_check_points`, refuses the points and then the |G|·|X| table entries
+before every verified build; the composites store no table, so it
+refuses them by their point count alone and they are exempt from the
+table cap.
 
 `BurnsideElement`'s additive arithmetic, the λ recursion and the closed
 signed sum are shared with the Schur side in `ring.py`; this module gives
@@ -104,11 +108,14 @@ class CapExceeded(Exception):
         super().__init__(f"{kind} cap {cap} exceeded while building {construction}")
 
 
-def _check_points(count: int, label: str) -> None:
+def _check_points(count: int, label: str, order: int | None = None) -> None:
     """Refuse a G-set of more than DEFAULT_POINT_CAP points, from its size
-    alone, before any point is listed."""
+    alone, before any point is listed; given the group order of a verified
+    build, then refuse more than TABLE_CAP stored table entries."""
     if count > DEFAULT_POINT_CAP:
         raise CapExceeded("point-count", DEFAULT_POINT_CAP, label)
+    if order is not None and order * count > TABLE_CAP:
+        raise CapExceeded("table-entries", TABLE_CAP, label)
 
 
 class GroupFileError(ValueError):
@@ -374,14 +381,10 @@ class PermGroup:
         """For each generator s, its element index and the index of s·g for
         every element g in order; |generators|·|G| lookups, made once."""
         if self._left_multiples is None:
-            by_images = self._by_images
-            self._left_multiples = []
-            for s in self.generators():
-                s_of = (None,) + s.images  # s_of[p] = s(p)
-                self._left_multiples.append((
-                    by_images[s.images],
-                    [by_images[tuple(map(s_of.__getitem__, g.images))] for g in self.elements],
-                ))
+            all0 = [_zero_based(g) for g in self.elements]
+            self._left_multiples = [
+                (self._by_images[s.images], self._products(s, all0)) for s in self.generators()
+            ]
         return self._left_multiples
 
     def conjugations(self) -> list[list[int]]:
@@ -421,14 +424,6 @@ class PermGroup:
         hit = self._key_cache.get(members)
         if hit is not None:
             return hit
-        if len(members) == 1:
-            key = (self._by_images[self.identity.images],)
-            self._key_cache[members] = key
-            return key
-        if len(members) == self.order:
-            key = tuple(range(self.order))
-            self._key_cache[members] = key
-            return key
         tables = [table.__getitem__ for table in self.conjugations()]
         conjugates = [members]
         seen = {members}
@@ -463,30 +458,58 @@ class PermGroup:
         g_of, by_images = g.images.__getitem__, self._by_images
         return [by_images[tuple(map(g_of, h0))] for h0 in rights0]
 
+    def _left_cosets(self, members, candidates=None) -> tuple[list[tuple[int, int]], list]:
+        """Split the group into the left cosets g·H of the subgroup H with
+        the given members, sweeping the candidates in order: each candidate
+        whose coset is new becomes the next transversal element g_j, and
+        every element g_j·h_k is recorded as the pair (j, k).  By default
+        the candidates are the elements, and a covered coset is skipped, so
+        g_j is the least element of its coset; a caller's candidates must
+        each be in the group and open a new coset, and together cover the
+        group.  Returns the pair of every element index, and the
+        transversal."""
+        products, by_images = self._products, self._by_images
+        members0 = [_zero_based(m) for m in members]
+        split: list = [None] * self.order
+        reps = []
+        for g in self.elements if candidates is None else candidates:
+            first = by_images.get(g.images)
+            if first is None:
+                raise ValueError(f"transversal element {g} is not in the group")
+            if split[first] is not None:
+                if candidates is None:
+                    continue
+                raise ValueError(
+                    f"invalid transversal: {reps[split[first][0]]} and {g} share a coset"
+                )
+            j = len(reps)
+            reps.append(g)
+            for k, x in enumerate(products(g, members0)):
+                split[x] = (j, k)
+        if None in split:
+            raise ValueError("invalid transversal: cosets do not cover the group")
+        return split, reps
+
     def coset_space(self, key: tuple[int, ...]) -> GSet:
         """The transitive G-set G/H for the subgroup with the given element
-        indices; the canonical representative of its isomorphism class."""
+        indices; the canonical representative of its isomorphism class.
+        Its points are the cosets as sets of element indices, in order of
+        their least elements."""
         key = tuple(key)
         hit = self._coset_cache.get(key)
         if hit is not None:
             return hit
         elements, products = self.elements, self._products
-        members0 = [_zero_based(elements[i]) for i in key]
-        coset_of = [-1] * self.order
-        points = []
-        reps0 = []  # zero-based images of each coset's least element, in coset order
-        for i, g in enumerate(elements):
-            if coset_of[i] >= 0:
-                continue
-            cid = len(points)
-            indices = sorted(products(g, members0))
-            for j in indices:
-                coset_of[j] = cid
-            points.append(frozenset(indices))
-            reps0.append(_zero_based(g))
+        split, reps = self._left_cosets([elements[i] for i in key])
+        coset_of = [j for j, _ in split]
+        cosets: list[list[int]] = [[] for _ in reps]
+        for x, j in enumerate(coset_of):
+            cosets[j].append(x)
+        points = [frozenset(coset) for coset in cosets]
+        reps0 = [_zero_based(g) for g in reps]
 
         def row(gset, k):
-            return [coset_of[j] for j in products(elements[k], reps0)]
+            return [coset_of[x] for x in products(elements[k], reps0)]
 
         gset = GSet.from_point_action(
             self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
@@ -679,10 +702,10 @@ class GSet:
 
     Row k lists the image index of every point under the group element
     with index k (see `Rows`); a pointwise action function is adapted onto
-    rows.  ``from_point_action`` caps the points and verifies the action:
-    it evaluates the row of every element, checks the action axioms on
-    them and stores them, |G|·|X| entries in all, so ``row``, ``act``,
-    ``act_index`` and ``table`` are list lookups.  The plain constructor
+    rows.  ``from_point_action`` caps the points and the table entries,
+    then verifies the action: it evaluates the row of every element, checks
+    the action axioms on them and stores them, |G|·|X| entries in all, so
+    ``row``, ``act``, ``act_index`` and ``table`` are list lookups.  The plain constructor
     is the trusted path: it neither caps nor verifies.  The composites
     (products, disjoint unions, restrictions) use it after checking their
     size by arithmetic, take their axioms from their verified parents and
@@ -710,7 +733,7 @@ class GSet:
         generator: at most DEFAULT_POINT_CAP + 1 are drawn from it before
         the cap is enforced."""
         points = list(itertools.islice(points, DEFAULT_POINT_CAP + 1))
-        _check_points(len(points), label)
+        _check_points(len(points), label, group.order)
         gset = cls(group, points, act_fn, label=label)
         gset._verify_action()
         return gset
@@ -763,8 +786,6 @@ class GSet:
         the generators."""
         group = self.group
         n = self.size
-        if group.order * n > TABLE_CAP:
-            raise CapExceeded("table-entries", TABLE_CAP, self.label)
         points, row, elements = self.points, self._rule.row, group.elements
         tables = [row(self, k) for k in range(group.order)]
         for g, t in zip(elements, tables):
@@ -1091,10 +1112,7 @@ def eq6_general(s: GSet, i: int) -> BurnsideElement:
         return BurnsideElement.zero(group)
     terms = list(closed_terms(i))
     for mu, _ in terms:
-        points = _points(pad(mu, s.size))
-        _check_points(points, _p_mu_label(mu, s))
-        if group.order * points > TABLE_CAP:
-            raise CapExceeded("table-entries", TABLE_CAP, _p_mu_label(mu, s))
+        _check_points(_points(pad(mu, s.size)), _p_mu_label(mu, s), group.order)
     total = BurnsideElement.zero(group)
     for mu, c in terms:
         total = total + decompose(p_mu_gset(s, mu)) * c
@@ -1178,36 +1196,18 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
     for g in h.elements:
         if g not in group:
             raise ValueError("the acting group of s is not a subgroup")
-    products = group._products
-    h0 = [_zero_based(m) for m in h.elements]
+    if coset_reps is not None:
+        coset_reps = [
+            g if isinstance(g, Permutation) else parse_permutation(g, group.degree)
+            for g in coset_reps
+        ]
     # element index in group -> (j, k) where the element is g_j times
     # element k of s's group
-    split: list[tuple[int, int] | None] = [None] * group.order
-    if coset_reps is None:
-        reps = []
-        for i, g in enumerate(group.elements):
-            if split[i] is None:
-                j = len(reps)
-                reps.append(g)
-                for hk, gm in enumerate(products(g, h0)):
-                    split[gm] = (j, hk)
-    else:
-        reps = [g if isinstance(g, Permutation) else parse_permutation(g, group.degree) for g in coset_reps]
-        for j, g in enumerate(reps):
-            if g not in group:
-                raise ValueError(f"transversal element {g} is not in the group")
-            for hk, gm in enumerate(products(g, h0)):
-                if split[gm] is not None:
-                    raise ValueError(
-                        f"invalid transversal: {reps[split[gm][0]]} and {g} share a coset"
-                    )
-                split[gm] = (j, hk)
-        if None in split:
-            raise ValueError("invalid transversal: cosets do not cover the group")
+    split, reps = group._left_cosets(h.elements, coset_reps)
     label = f"ind({s.label})"
-    _check_points(len(reps) * s.size, label)
+    _check_points(len(reps) * s.size, label, group.order)
     points = ((j, p) for j in range(len(reps)) for p in s.points)
-    elements, nx = group.elements, s.size
+    elements, products, nx = group.elements, group._products, s.size
     reps0 = [_zero_based(g) for g in reps]
 
     def row(gset, k):

@@ -174,6 +174,10 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     and column sums nu whose nonzero entries sort to gamma, counted by the
     grouped recursion of `_tables` over the rows of mu."""
     n = sum(mu)
+    # [P_(n)] is the unit.  These two cases are not a shortcut: they keep
+    # [P_(n)]·[P_nu] off `_tables`, whose `_row_fills` recurses once per
+    # column, so `mul --n 1000 --a "[1000]" --b "[1^1000]"` is answered
+    # instead of running out of Python's stack.
     if mu == (n,):
         return {Partition._trusted(nu): 1}
     if nu == (n,):

@@ -96,6 +96,84 @@ def test_verify_negative_i_max_is_a_usage_error(capsys):
     assert "i-max" in doc["payload"]["message"]
 
 
+def test_verify_reports_each_failed_case(capsys, monkeypatch):
+    # one failing case per family, with every check called in its order
+    from burnside import cli
+    from burnside.schur import SchurElement
+
+    calls = []
+    real_closed, real_recursive = cli.closed_lambda, cli.recursive_lambda
+    real_injectivity, real_leading = cli.verify_injectivity, cli.leading_term_check
+    bad_cells = [{"cycle_type": [2], "basis_key": [1, 1], "value": 1,
+                  "reason": "nonzero entry above the diagonal"}]
+    bad_leading = {"kappa1": [3, 1], "kappa2": [3, 1], "degrees": [1, 1],
+                   "concatenation": [2, 1, 1], "coefficient": 2, "violations": [], "ok": False}
+
+    def closed(i, n):
+        calls.append(("closed", i, n))
+        if (i, n) == (2, 3):
+            return SchurElement.zero(3)
+        if (i, n) == (6, 2):
+            return SchurElement.one(2)
+        return real_closed(i, n)
+
+    def recursive(i, n):
+        calls.append(("recursive", i, n))
+        return real_recursive(i, n)
+
+    def injectivity(n):
+        calls.append(("marks", n))
+        if n == 2:
+            return {"triangular": False, "diagonal_nonzero": True, "failures": bad_cells}
+        return real_injectivity(n)
+
+    def leading(a, b, n, k):
+        calls.append(("leading", tuple(a), tuple(b)))
+        if (tuple(a), tuple(b)) == ((3, 1), (3, 1)):
+            return bad_leading
+        return real_leading(a, b, n, k)
+
+    monkeypatch.setattr(cli, "closed_lambda", closed)
+    monkeypatch.setattr(cli, "recursive_lambda", recursive)
+    monkeypatch.setattr(cli, "verify_injectivity", injectivity)
+    monkeypatch.setattr(cli, "leading_term_check", leading)
+
+    final = "FAIL: 9/10 lambda equalities, 3/4 mark matrices triangular"
+    code, out = run(capsys, "verify", "--n-max", "4", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    body = doc["payload"]
+    assert body["lambda_equalities"] == {"passed": 9, "total": 10, "failures": [{"i": 2, "n": 3}]}
+    assert body["vanishing"] == {"passed": 17, "total": 18, "failures": [{"i": 6, "n": 2}]}
+    assert body["mark_matrices"] == {
+        "passed": 3, "total": 4, "failures": [{"n": 2, "failures": bad_cells}]
+    }
+    assert body["leading_terms"] == {"checked": 6, "passed": 5, "failures": [bad_leading]}
+    assert body["final"] == final
+
+    pairs = [((4,), (4,)), ((4,), (3, 1)), ((4,), (2, 2)), ((4,), (2, 1, 1)),
+             ((4,), (1, 1, 1, 1)), ((3, 1), (3, 1))]
+    assert calls == (
+        [c for n in range(1, 5) for i in range(1, n + 1)
+         for c in (("closed", i, n), ("recursive", i, n))]
+        + [c for n in range(1, 5) for i in range(n + 1, 8)
+           for c in (("recursive", i, n), ("closed", i, n))]
+        + [("marks", n) for n in range(1, 5)]
+        + [("leading", a, b) for a, b in pairs]
+    )
+
+    code, out = run(capsys, "verify", "--n-max", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "lambda equalities (closed vs recursive), 1 <= i <= n <= 4: 9/10",
+        "vanishing above n (both constructions), n < i <= 7: 17/18",
+        "mark matrices lower-triangular with nonzero diagonal, n <= 4: 3/4",
+        "leading terms at n=4, k=1, degree sum <= 2: 5/6",
+        final,
+    ]
+
+
 def test_oracle_cyclic(capsys, tmp_path):
     path = tmp_path / "c4.grp"
     path.write_text("# rotations of a square\n(1 2 3 4)\n")
@@ -254,6 +332,30 @@ def test_marks_past_the_cell_cap_exits_at_once():
     assert proc.returncode == 3
     payload = json.loads(proc.stdout)["payload"]
     assert (payload["kind"], payload["which"], payload["cap"]) == ("cap", "mark-cells", 30_000_000)
+
+
+def test_recursion_limit_is_a_cap_not_a_traceback():
+    # the contingency-table count recurses once per column and once per row
+    ones = "[" + ",".join(["1"] * 1000) + "]"
+    for a, b in (("[999,1]", ones), (ones, "[999,1]")):
+        for fmt in ("text", "structured"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "burnside.cli", "mul", "--n", "1000", "--a", a, "--b", b,
+                 "--format", fmt],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert proc.returncode == 3
+            assert proc.stderr == ""
+            if fmt == "text":
+                assert proc.stdout.startswith("cap exceeded: recursion-depth cap ")
+                continue
+            doc = json.loads(proc.stdout)
+            assert doc["status"] == "error"
+            payload = doc["payload"]
+            assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
+            assert payload["cap"] == sys.getrecursionlimit()
 
 
 def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):

@@ -426,10 +426,15 @@ def test_induce_transversals():
     good = induce(one, group, coset_reps=["()", "(3 4)"])
     assert good.size == 2
     assert decompose(good) == decompose(induce(one, group))
-    with pytest.raises(ValueError, match="share a coset"):
+    with pytest.raises(ValueError, match=r"^invalid transversal: \(\) and \(1 2\) share a coset$"):
         induce(one, group, coset_reps=["()", "(1 2)"])
     with pytest.raises(ValueError, match="do not cover"):
         induce(one, group, coset_reps=["()"])
+    with pytest.raises(ValueError, match=r"^transversal element \(1 3\) is not in the group$"):
+        induce(one, group, coset_reps=["(3 4)", "(1 3)"])
+    # the elements are checked in the given order
+    with pytest.raises(ValueError, match="share a coset"):
+        induce(one, group, coset_reps=["(3 4)", "(1 2)(3 4)", "(1 3)"])
     with pytest.raises(ValueError, match="not a subgroup"):
         induce(natural_gset(cyclic_group(3)), symmetric_group(4))
 

@@ -196,6 +196,19 @@ def test_mark_cells_are_capped_before_any_partition_is_enumerated(monkeypatch):
             assert f"n={n}" in str(exc.value)
 
 
+def test_mark_cell_cap_is_read_when_checked(monkeypatch):
+    # p(5)^2 = 49 cells; the engine's table cap is the mark-cell cap
+    from burnside import engine
+
+    monkeypatch.setattr(engine, "TABLE_CAP", 10)
+    for build in (mark_matrix, marks.mark_rows, verify_injectivity):
+        with pytest.raises(CapExceeded) as exc:
+            build(5)
+        assert (exc.value.kind, exc.value.cap) == ("mark-cells", 10)
+    monkeypatch.setattr(engine, "TABLE_CAP", 49)
+    assert len(mark_matrix(5)) == 7
+
+
 def test_verify_injectivity_reports_a_cell_above_the_diagonal(monkeypatch):
     # one row of the grouping counts gains the key of the column right of
     # its diagonal cell
