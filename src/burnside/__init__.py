@@ -1,7 +1,12 @@
 """Exact lambda-ring arithmetic on Burnside rings of symmetric groups,
-with a brute-force G-set engine serving as an independent oracle."""
+with a brute-force G-set engine serving as an independent oracle.
+
+`partitions`, `schur` and `marks` load with the package; the engine loads
+when one of its names is first read."""
 
 from .partitions import (
+    CapExceeded,
+    GroupFileError,
     Partition,
     TheoremViolation,
     alpha,
@@ -32,40 +37,24 @@ from .marks import (
     marks_of,
     verify_injectivity,
 )
-from .engine import (
-    BurnsideElement,
-    CapExceeded,
-    GroupFileError,
-    GSet,
-    PermGroup,
-    Permutation,
-    burnside_to_schur,
-    cyclic_group,
-    decompose,
-    dihedral_group,
-    disjoint_union,
-    eq6_general,
-    group_closure,
-    induce,
-    lambda_general,
-    natural_gset,
-    orbits,
-    p_mu_gset,
-    parse_group_file,
-    parse_permutation,
-    product_gset,
-    restrict,
-    schur_membership,
-    schur_to_burnside,
-    stabilizer,
-    symmetric_group,
-    symmetric_power,
-    verify_lemma73,
-    verify_lemma74,
-    young_subgroup,
-)
 from . import marks as _marks
 from . import schur as _schur
+
+
+def __getattr__(name):
+    """Read an engine name from `burnside.engine`, importing it on first
+    access, so that importing the package does not compile the engine.
+    Nothing is stored here: each access reads the engine's current
+    attribute.  Hot code should import from `burnside.engine` directly."""
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ENGINE_NAMES)
 
 
 def clear_caches() -> None:
@@ -149,5 +138,8 @@ __all__ = [
     "verify_lemma74",
     "young_subgroup",
 ]
+
+# the names of __all__ not bound above are the engine's, served by __getattr__
+_ENGINE_NAMES = frozenset(__all__).difference(globals())
 
 __version__ = "0.1.0"

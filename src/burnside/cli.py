@@ -24,6 +24,15 @@ environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
 the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.  An input whose
 counting recursion would pass Python's recursion limit, such as a `mul`
 operand with a thousand parts, is reported as the recursion-depth cap.
+
+Only `oracle` and `indres` build G-sets, so only they import the engine,
+when they run; `marks` and `verify` load it at their mark-cell cap check
+(`engine.TABLE_CAP`).  `lambda`, `sigma` and `mul` load `partitions`,
+`ring`, `schur` and `marks` and never compile the engine, a third of the
+package's source.  The engine functions the two engine commands use
+(`group_closure` and the rest) still resolve as attributes of this module:
+a module `__getattr__` reads them from the engine, loading it on first
+access, and never stores them here.
 """
 
 from __future__ import annotations
@@ -33,20 +42,15 @@ import json
 import sys
 from collections.abc import Callable
 
-from .engine import (
+from .marks import mark_matrix, marks_vector_order, verify_injectivity
+from .partitions import (
     CapExceeded,
     GroupFileError,
-    disjoint_union,
-    eq6_general,
-    group_closure,
-    lambda_general,
-    natural_gset,
-    parse_group_file,
-    verify_lemma73,
-    verify_lemma74,
+    TheoremViolation,
+    enumerate_partitions,
+    format_partition,
+    parse_partition,
 )
-from .marks import mark_matrix, marks_vector_order, verify_injectivity
-from .partitions import TheoremViolation, enumerate_partitions, format_partition, parse_partition
 from .schur import (
     basis_element,
     closed_lambda,
@@ -59,6 +63,28 @@ from .schur import (
 
 # renders a subcommand's text lines; called only in text mode
 Lines = Callable[[], list]
+
+# what `oracle` and `indres` import from the engine when they run
+_ENGINE_NAMES = frozenset({
+    "disjoint_union",
+    "eq6_general",
+    "group_closure",
+    "lambda_general",
+    "natural_gset",
+    "parse_group_file",
+    "verify_lemma73",
+    "verify_lemma74",
+})
+
+
+def __getattr__(name):
+    """Serve the engine functions the engine commands use, read from the
+    engine at each access and never stored here."""
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cmd_lambda(args) -> tuple[int, Lines, dict]:
@@ -227,6 +253,17 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
 
 
 def cmd_oracle(args) -> tuple[int, Lines, dict]:
+    if args.i < 0:
+        raise ValueError(f"need i >= 0, got {args.i}")
+    from .engine import (
+        disjoint_union,
+        eq6_general,
+        group_closure,
+        lambda_general,
+        natural_gset,
+        parse_group_file,
+    )
+
     try:
         with open(args.group, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -239,8 +276,6 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
         gset = disjoint_union(base, base)
     else:
         gset = base
-    if args.i < 0:
-        raise ValueError(f"need i >= 0, got {args.i}")
     by_formula = eq6_general(gset, args.i)
     by_recursion = lambda_general(gset, args.i)
     equal = by_formula == by_recursion
@@ -269,6 +304,8 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
 def cmd_indres(args) -> tuple[int, Lines, dict]:
     if not 1 <= args.i <= args.n:
         raise ValueError(f"need 1 <= i <= n, got i={args.i}, n={args.n}")
+    from .engine import verify_lemma73, verify_lemma74
+
     reports74 = []
     ok = True
     for mu in enumerate_partitions(args.i):

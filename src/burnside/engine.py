@@ -74,7 +74,7 @@ import re
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, enumerate_partitions, pad
+from .partitions import CapExceeded, GroupFileError, Partition, enumerate_partitions, pad
 from .ring import Combination, closed_terms, recursion_step
 from .schur import SchurElement, _points
 
@@ -98,16 +98,6 @@ def group_cap_default() -> int:
     return cap
 
 
-class CapExceeded(Exception):
-    """A construction would exceed a configured resource cap."""
-
-    def __init__(self, kind: str, cap: int, construction: str):
-        self.kind = kind
-        self.cap = cap
-        self.construction = construction
-        super().__init__(f"{kind} cap {cap} exceeded while building {construction}")
-
-
 def _check_points(count: int, label: str, order: int | None = None) -> None:
     """Refuse a G-set of more than DEFAULT_POINT_CAP points, from its size
     alone, before any point is listed; given the group order of a verified
@@ -116,14 +106,6 @@ def _check_points(count: int, label: str, order: int | None = None) -> None:
         raise CapExceeded("point-count", DEFAULT_POINT_CAP, label)
     if order is not None and order * count > TABLE_CAP:
         raise CapExceeded("table-entries", TABLE_CAP, label)
-
-
-class GroupFileError(ValueError):
-    """Malformed group input file; carries the offending line number."""
-
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
 
 
 class Permutation:

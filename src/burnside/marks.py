@@ -54,9 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
-from . import engine
-from .engine import CapExceeded
-from .partitions import Partition, enumerate_partitions
+from .partitions import CapExceeded, Partition, enumerate_partitions
 from .schur import SchurElement
 
 
@@ -111,7 +109,10 @@ def _check_cells(n: int) -> None:
     when called), p(n)^2, before any partition of n is enumerated.  p(0),
     p(1), ... come from Euler's pentagonal recurrence and stop at n or at
     the first k whose p(k)^2 is over the cap, since p never decreases: the
-    check is bounded by the cap, whatever n is."""
+    check is bounded by the cap, whatever n is.  The engine is imported
+    here, not with this module, so the Schur-side commands never load it."""
+    from . import engine
+
     counts = [1]
     while len(counts) <= n:
         k, total, j = len(counts), 0, 1

@@ -15,6 +15,10 @@ construction, so they skip the check through `Partition._trusted`:
 trusts a `Partition` it is given, since inserting the positive part n - i
 and sorting keeps it a partition.  The Schur side builds dozens of keys per
 query, and checking each again cost a quarter of its time.
+
+The package's exceptions live here too, at the bottom of the import
+graph, so that the Schur side can raise and catch them without loading
+the engine.
 """
 
 from __future__ import annotations
@@ -26,6 +30,31 @@ class TheoremViolation(Exception):
     """A computed value contradicts a theorem the package relies on.  That
     can only be an implementation bug; unlike ``assert``, the check stays
     in force under ``python -O``."""
+
+
+class CapExceeded(Exception):
+    """A construction would exceed a configured resource cap."""
+
+    def __init__(self, kind: str, cap: int, construction: str):
+        self.kind = kind
+        self.cap = cap
+        self.construction = construction
+        super().__init__(f"{kind} cap {cap} exceeded while building {construction}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.cap, self.construction)
+
+
+class GroupFileError(ValueError):
+    """Malformed group input file; carries the offending line number."""
+
+    def __init__(self, line_number: int, message: str):
+        self.line_number = line_number
+        self.message = message
+        super().__init__(f"line {line_number}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.message)
 
 
 class Partition(tuple):
