@@ -25,14 +25,12 @@ the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.  An input whose
 counting recursion would pass Python's recursion limit, such as a `mul`
 operand with a thousand parts, is reported as the recursion-depth cap.
 
-Only `oracle` and `indres` build G-sets, so only they import the engine,
-when they run; `marks` and `verify` load it at their mark-cell cap check
-(`engine.TABLE_CAP`).  `lambda`, `sigma` and `mul` load `partitions`,
-`ring`, `schur` and `marks` and never compile the engine, a third of the
-package's source.  The engine functions the two engine commands use
-(`group_closure` and the rest) still resolve as attributes of this module:
-a module `__getattr__` reads them from the engine, loading it on first
-access, and never stores them here.
+Only `oracle` and `indres` load the engine, when they run; the other
+commands load `partitions`, `ring`, `schur` and `marks` and never compile
+the engine, a third of the package's source.  The engine functions the
+two engine commands use (`group_closure` and the rest) still resolve as
+attributes of this module: a module `__getattr__` reads them from the
+engine, loading it on first access, and never stores them here.
 """
 
 from __future__ import annotations

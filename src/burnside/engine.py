@@ -52,14 +52,13 @@ input needs.
 
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
-naming the offending construction instead of truncating silently.  Each
-cap is read where it is checked: the group-order cap from
-`group_cap_default()` (the BURNSIDE_GROUP_CAP environment variable), the
-point and table caps from the module constants.  One size check,
-`_check_points`, refuses the points and then the |G|·|X| table entries
-before every verified build; the composites store no table, so it
-refuses them by their point count alone and they are exempt from the
-table cap.
+naming the offending construction instead of truncating silently.  The
+caps live in `partitions`, and each is read from there where it is
+checked; of the CLI commands, only `oracle` and `indres` load this
+module.  One size check, `_check_points`, refuses the points and then
+the |G|·|X| table entries before every verified build; the composites
+store no table, so it refuses them by their point count alone and they
+are exempt from the table cap.
 
 `BurnsideElement`'s additive arithmetic, the λ recursion and the closed
 signed sum are shared with the Schur side in `ring.py`; this module gives
@@ -69,43 +68,25 @@ the product (`burnside_mul`), the symmetric powers and the P_mu sets.
 from __future__ import annotations
 
 import itertools
-import os
+import operator
 import re
 from functools import lru_cache
 from math import factorial
 
+from . import partitions
 from .partitions import CapExceeded, GroupFileError, Partition, enumerate_partitions, pad
 from .ring import Combination, closed_terms, recursion_step
 from .schur import SchurElement, _points
-
-DEFAULT_GROUP_CAP = 10080
-GROUP_CAP_ENV = "BURNSIDE_GROUP_CAP"
-DEFAULT_POINT_CAP = 200_000
-# a verified G-set stores |G|·|X| table entries (8 bytes each)
-TABLE_CAP = 30_000_000
-
-
-def group_cap_default() -> int:
-    raw = os.environ.get(GROUP_CAP_ENV)
-    if raw is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{GROUP_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{GROUP_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _check_points(count: int, label: str, order: int | None = None) -> None:
     """Refuse a G-set of more than DEFAULT_POINT_CAP points, from its size
     alone, before any point is listed; given the group order of a verified
     build, then refuse more than TABLE_CAP stored table entries."""
-    if count > DEFAULT_POINT_CAP:
-        raise CapExceeded("point-count", DEFAULT_POINT_CAP, label)
-    if order is not None and order * count > TABLE_CAP:
-        raise CapExceeded("table-entries", TABLE_CAP, label)
+    if count > partitions.DEFAULT_POINT_CAP:
+        raise CapExceeded("point-count", partitions.DEFAULT_POINT_CAP, label)
+    if order is not None and order * count > partitions.TABLE_CAP:
+        raise CapExceeded("table-entries", partitions.TABLE_CAP, label)
 
 
 class Permutation:
@@ -117,7 +98,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = tuple(map(operator.index, images))
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
@@ -594,7 +575,7 @@ def group_closure(generators, degree: int | None = None) -> PermGroup:
     seen = _closure(
         {tuple(range(1, degree + 1))},
         generators,
-        group_cap_default(),
+        partitions.group_cap_default(),
         f"closure of {len(generators)} generators",
     )
     return PermGroup(degree, map(Permutation._trusted, seen), generators=generators)
@@ -714,7 +695,7 @@ class GSet:
         `Rows` or a pointwise act_fn(g, point) -> point.  Points may be a
         generator: at most DEFAULT_POINT_CAP + 1 are drawn from it before
         the cap is enforced."""
-        points = list(itertools.islice(points, DEFAULT_POINT_CAP + 1))
+        points = list(itertools.islice(points, partitions.DEFAULT_POINT_CAP + 1))
         _check_points(len(points), label, group.order)
         gset = cls(group, points, act_fn, label=label)
         gset._verify_action()
@@ -952,7 +933,7 @@ class BurnsideElement(Combination):
     def __init__(self, group: PermGroup, coeffs=None):
         clean = {}
         for key, c in (coeffs or {}).items():
-            c = int(c)
+            c = operator.index(c)
             if c:
                 key = tuple(key)
                 if not group._is_class_key(key):

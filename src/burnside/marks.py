@@ -39,7 +39,7 @@ counts on the current path are alive: live memory is bounded by the path,
 not by the number of prefixes.  `mark_matrix` (`marks --n`) places each
 row at its index, and `verify_injectivity` judges the stored cells.  Both
 raise `CapExceeded` when the dense matrix would have more than
-`engine.TABLE_CAP` cells (p(n)^2 > 30M, so n >= 30), before any partition
+`TABLE_CAP` cells (p(n)^2 > 30M, so n >= 30), before any partition
 of n is enumerated.
 
 The order of the partitions of n and the mark column of each basis key
@@ -54,6 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
+from . import partitions
 from .partitions import CapExceeded, Partition, enumerate_partitions
 from .schur import SchurElement
 
@@ -105,14 +106,11 @@ def marks_vector_order(n: int) -> list[Partition]:
 
 
 def _check_cells(n: int) -> None:
-    """Refuse a mark matrix of more than `engine.TABLE_CAP` cells (read
+    """Refuse a mark matrix of more than `TABLE_CAP` cells (read
     when called), p(n)^2, before any partition of n is enumerated.  p(0),
     p(1), ... come from Euler's pentagonal recurrence and stop at n or at
     the first k whose p(k)^2 is over the cap, since p never decreases: the
-    check is bounded by the cap, whatever n is.  The engine is imported
-    here, not with this module, so the Schur-side commands never load it."""
-    from . import engine
-
+    check is bounded by the cap, whatever n is."""
     counts = [1]
     while len(counts) <= n:
         k, total, j = len(counts), 0, 1
@@ -122,8 +120,8 @@ def _check_cells(n: int) -> None:
                 if g <= k:
                     total += sign * counts[k - g]
             j += 1
-        if total * total > engine.TABLE_CAP:
-            raise CapExceeded("mark-cells", engine.TABLE_CAP, f"the mark matrix at n={n}")
+        if total * total > partitions.TABLE_CAP:
+            raise CapExceeded("mark-cells", partitions.TABLE_CAP, f"the mark matrix at n={n}")
         counts.append(total)
 
 
@@ -174,7 +172,7 @@ def mark_rows(n: int):
 
     A grouping of the cycles of nu with group sums mu fills the blocks of
     [P_mu] in prod_k m_k(mu)! ways.  Raises CapExceeded when the dense
-    matrix would have more than `engine.TABLE_CAP` cells, before any work."""
+    matrix would have more than `TABLE_CAP` cells, before any work."""
     _check_cells(n)
     order = _order(n)
     # ascending tuple of block sizes -> (column, ways to fill equal blocks)

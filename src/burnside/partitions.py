@@ -8,21 +8,26 @@ All arithmetic is exact integer arithmetic.
 
 Input from outside the library is checked once, where it enters:
 `Partition(...)`, `parse_partition`, `composition_to_partition` and `pad`
-on anything that is not already a `Partition` reject a part below 1 and an
-increase.  The partitions the library builds itself are valid by
-construction, so they skip the check through `Partition._trusted`:
-`enumerate_partitions` builds every one of its results that way, and `pad`
-trusts a `Partition` it is given, since inserting the positive part n - i
-and sorting keeps it a partition.  The Schur side builds dozens of keys per
-query, and checking each again cost a quarter of its time.
+on anything that is not already a `Partition` reject a non-integer part
+(read through `operator.index`, so 2.7 is refused, not truncated), a part
+below 1 and an increase.  The partitions the library builds itself are
+valid by construction, so they skip the check through
+`Partition._trusted`: `enumerate_partitions` builds every one of its
+results that way, and `pad` trusts a `Partition` it is given, since
+inserting the positive part n - i and sorting keeps it a partition.  The
+Schur side builds dozens of keys per query, and checking each again cost
+a quarter of its time.
 
-The package's exceptions live here too, at the bottom of the import
-graph, so that the Schur side can raise and catch them without loading
-the engine.
+The package's exceptions and resource caps live here too, at the bottom
+of the import graph, so that the Schur side can raise, catch and check
+them without loading the engine.  Each cap is read from this module when
+it is checked.
 """
 
 from __future__ import annotations
 
+import operator
+import os
 from math import factorial, prod
 
 
@@ -43,6 +48,27 @@ class CapExceeded(Exception):
 
     def __reduce__(self):
         return type(self), (self.kind, self.cap, self.construction)
+
+
+DEFAULT_GROUP_CAP = 10080
+GROUP_CAP_ENV = "BURNSIDE_GROUP_CAP"
+DEFAULT_POINT_CAP = 200_000
+# a verified G-set stores |G|·|X| table entries (8 bytes each); the mark
+# matrix at n, p(n)^2 cells, is held to the same cap
+TABLE_CAP = 30_000_000
+
+
+def group_cap_default() -> int:
+    raw = os.environ.get(GROUP_CAP_ENV)
+    if raw is None:
+        return DEFAULT_GROUP_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{GROUP_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{GROUP_CAP_ENV} must be positive, got {cap}")
+    return cap
 
 
 class GroupFileError(ValueError):
@@ -69,7 +95,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         for j, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"partition parts must be >= 1, got {p}")
@@ -97,7 +123,7 @@ class Partition(tuple):
 
 def as_composition(parts) -> tuple[int, ...]:
     """Validate a tuple of positive integers as a composition."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(map(operator.index, parts))
     for p in parts:
         if p < 1:
             raise ValueError(f"composition parts must be >= 1, got {p}")

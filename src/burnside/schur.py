@@ -39,6 +39,7 @@ product, σ and the padding of the closed sum's keys to ambient n.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import factorial, prod
 
@@ -65,7 +66,7 @@ class SchurElement(Combination):
             key = Partition(key)
             if key.weight != ambient:
                 raise ValueError(f"basis key {key} is not a partition of {ambient}")
-            c = int(c)
+            c = operator.index(c)
             if c:
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from burnside import engine
+from burnside import engine, partitions
 from burnside.engine import (
-    DEFAULT_GROUP_CAP,
     BurnsideElement,
     CapExceeded,
     GroupFileError,
@@ -31,7 +30,6 @@ from burnside.engine import (
     dihedral_group,
     disjoint_union,
     eq6_general,
-    group_cap_default,
     group_closure,
     induce,
     lambda_general,
@@ -51,7 +49,7 @@ from burnside.engine import (
     verify_lemma74,
     young_subgroup,
 )
-from burnside.partitions import enumerate_partitions
+from burnside.partitions import DEFAULT_GROUP_CAP, enumerate_partitions, group_cap_default
 from burnside.schur import basis_element, closed_lambda, schur_mul, sigma
 
 from test_schur import random_elements
@@ -241,7 +239,7 @@ def test_tables_match_pointwise_action():
 
 def test_point_cap(monkeypatch):
     nat = natural_gset(symmetric_group(4))
-    monkeypatch.setattr(engine, "DEFAULT_POINT_CAP", 5)
+    monkeypatch.setattr(partitions, "DEFAULT_POINT_CAP", 5)
     with pytest.raises(CapExceeded) as exc:
         symmetric_power(nat, 3)
     assert exc.value.kind == "point-count"
@@ -662,13 +660,13 @@ def test_closure_does_not_depend_on_generator_order():
 
 def test_table_cap(monkeypatch):
     group = symmetric_group(3)
-    monkeypatch.setattr(engine, "TABLE_CAP", 18)
+    monkeypatch.setattr(partitions, "TABLE_CAP", 18)
     nat = natural_gset(group)  # 6 elements x 3 points = 18 entries
     # composites stay lazy: tabulating this product would need 54 entries
     square = product_gset(nat, nat)
     assert len(orbits(square)) == 2
     assert decompose(square).cardinality() == 9
-    monkeypatch.setattr(engine, "TABLE_CAP", 17)
+    monkeypatch.setattr(partitions, "TABLE_CAP", 17)
     with pytest.raises(CapExceeded) as exc:
         natural_gset(group)
     assert exc.value.kind == "table-entries"
@@ -829,9 +827,9 @@ def test_point_cap_stops_generation():
     # 30^6 ordered 6-tuples of distinct points and C(37, 8) multisets: the
     # cap must stop the enumeration, not only reject its result
     script = (
-        "from burnside import engine\n"
+        "from burnside import partitions\n"
         "from burnside.engine import CapExceeded, cyclic_group, natural_gset, p_mu_gset, symmetric_power\n"
-        "engine.DEFAULT_POINT_CAP = 1000\n"
+        "partitions.DEFAULT_POINT_CAP = 1000\n"
         "nat = natural_gset(cyclic_group(30))\n"
         "for build in (lambda: p_mu_gset(nat, (1,) * 6),\n"
         "              lambda: symmetric_power(nat, 8)):\n"
@@ -853,7 +851,7 @@ def test_point_cap_stops_generation():
 def test_patched_point_cap_is_read_by_every_build(monkeypatch):
     nat = natural_gset(symmetric_group(5))
     square = product_gset(nat, nat)
-    monkeypatch.setattr(engine, "DEFAULT_POINT_CAP", 20)
+    monkeypatch.setattr(partitions, "DEFAULT_POINT_CAP", 20)
     errors = []
     # P_(2,1) has 30 points, sym^3 has 35, eq6_general(nat, 3) needs P_(2,1),
     # and the square, built under the default cap, has 25
@@ -901,5 +899,5 @@ def test_over_cap_composite_is_refused_before_any_point_is_listed(composite):
     finally:
         tracemalloc.stop()
     assert (exc.value.kind, exc.value.cap, exc.value.construction) == (
-        "point-count", engine.DEFAULT_POINT_CAP, construction)
+        "point-count", partitions.DEFAULT_POINT_CAP, construction)
     assert peak < 1_000_000

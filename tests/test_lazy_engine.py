@@ -36,6 +36,8 @@ def test_package_import_leaves_out_the_engine():
     ["lambda", "--n", "6", "--i", "3", "--method", "both"],
     ["sigma", "--n", "4", "--i", "3"],
     ["mul", "--n", "4", "--a", "[2,2]", "--b", "[3,1]"],
+    ["marks", "--n", "6"],
+    ["verify", "--n-max", "4"],
 ])
 def test_schur_commands_leave_out_the_engine(argv):
     script = (
@@ -88,6 +90,13 @@ def test_every_exported_name_is_its_home_modules_object():
         assert getattr(burnside, name) is getattr(engine, name)
     assert burnside.CapExceeded is engine.CapExceeded is partitions.CapExceeded
     assert burnside.GroupFileError is engine.GroupFileError is partitions.GroupFileError
+
+
+def test_caps_live_in_partitions_alone():
+    # so a monkeypatch of a stale copy in the engine fails loudly
+    for name in ("DEFAULT_GROUP_CAP", "GROUP_CAP_ENV", "DEFAULT_POINT_CAP", "TABLE_CAP",
+                 "group_cap_default"):
+        assert hasattr(partitions, name) and not hasattr(engine, name), name
 
 
 def test_engine_names_are_served_not_stored():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside import marks
+from burnside import marks, partitions
 from burnside.engine import (
     CapExceeded,
     Permutation,
@@ -197,15 +197,13 @@ def test_mark_cells_are_capped_before_any_partition_is_enumerated(monkeypatch):
 
 
 def test_mark_cell_cap_is_read_when_checked(monkeypatch):
-    # p(5)^2 = 49 cells; the engine's table cap is the mark-cell cap
-    from burnside import engine
-
-    monkeypatch.setattr(engine, "TABLE_CAP", 10)
+    # p(5)^2 = 49 cells; the table cap is the mark-cell cap
+    monkeypatch.setattr(partitions, "TABLE_CAP", 10)
     for build in (mark_matrix, marks.mark_rows, verify_injectivity):
         with pytest.raises(CapExceeded) as exc:
             build(5)
         assert (exc.value.kind, exc.value.cap) == ("mark-cells", 10)
-    monkeypatch.setattr(engine, "TABLE_CAP", 49)
+    monkeypatch.setattr(partitions, "TABLE_CAP", 49)
     assert len(mark_matrix(5)) == 7
 
 

@@ -7,10 +7,11 @@ import pickle
 
 import pytest
 
-from burnside import engine
+from burnside import engine, partitions
 from burnside.engine import (
     BurnsideElement,
     CapExceeded,
+    Permutation,
     burnside_to_schur,
     cyclic_group,
     decompose,
@@ -21,7 +22,7 @@ from burnside.engine import (
     p_mu_gset,
     symmetric_group,
 )
-from burnside.partitions import Partition
+from burnside.partitions import Partition, as_composition
 from burnside.schur import SchurElement, closed_lambda, recursive_lambda, sigma
 
 
@@ -82,7 +83,7 @@ def _doubled_c8():
 )
 def test_eq6_checks_every_size_before_building(monkeypatch, gset, i, table_cap, mu):
     if table_cap is not None:
-        monkeypatch.setattr(engine, "TABLE_CAP", table_cap)
+        monkeypatch.setattr(partitions, "TABLE_CAP", table_cap)
     # the error the first over-cap build raises
     with pytest.raises(CapExceeded) as built:
         p_mu_gset(gset, Partition(mu))
@@ -123,3 +124,20 @@ def test_elements_survive_pickle_and_copy(how):
     assert h == g and hash(h) == hash(g) and h.images == g.images
     with pytest.raises(AttributeError):
         h.images = g.images
+
+
+S3_KEY = (0, 1, 2, 3, 4, 5)  # the class of the one-point S_3-set
+
+
+@pytest.mark.parametrize("build, bad, good, expected", [
+    (lambda x: Partition([x, 1]), 2.7, 2, (2, 1)),
+    (lambda x: as_composition([x, 1]), 2.5, True, (1, 1)),
+    (lambda c: SchurElement(4, {(2, 2): c}).coeffs, 1.5, True, {(2, 2): 1}),
+    (lambda c: BurnsideElement(symmetric_group(3), {S3_KEY: c}).coeffs, 2.9, 2, {S3_KEY: 2}),
+    (lambda x: Permutation([x, 1]).images, 2.0, 2, (2, 1)),
+], ids=["partition", "composition", "schur-coefficient", "burnside-coefficient", "permutation"])
+def test_checked_constructors_refuse_non_integers(build, bad, good, expected):
+    # a float is refused, not truncated; ints and bools still pass
+    with pytest.raises(TypeError):
+        build(bad)
+    assert build(good) == expected
