@@ -34,21 +34,22 @@ arithmetic:
 No group element acts on a point object.  A pointwise action function
 given by a caller is adapted onto the same rows.
 
-Verified G-sets (natural sets, symmetric powers, block tuples, coset
-spaces, induced sets and every set built from a caller's
-action) evaluate the row of every element and store the rows,
-|G|·|X| entries, so every later application is a list lookup.  Verification
-checks that every row has one entry per point and every entry indexes a
-point, that the identity's row fixes every point, and that
-T_{s·g} = T_s ∘ T_g for every generator s and every element g.  Products,
-disjoint unions and restrictions are not verified, because their axioms
-follow from their verified parents: once their size is checked by
-arithmetic they are built through the plain `GSet` constructor, and stay
-lazy: a row or a single image is computed from the parents' rows when
-asked for.  Storing the rows of a product of coset spaces would take
-|G|·|X|·|Y| entries to answer a few orbit and stabilizer queries.  Products
-of validated permutations skip the bijection check, which only outside
-input needs.
+Every G-set reads its action through one rule, a `Rows`.  Verified G-sets
+(natural sets, symmetric powers, block tuples, coset spaces, induced sets
+and every set built from a caller's action) evaluate the row of every
+element once, |G|·|X| entries, and the stored rows become their rule, so
+every later application is a list lookup.  Verification checks that every
+row has one entry per point and every entry indexes a point, that the
+identity's row fixes every point, and that T_{s·g} = T_s ∘ T_g for every
+generator s and every element g.  Products, disjoint unions and
+restrictions are not verified, because their axioms follow from their
+verified parents: once their size is checked by arithmetic they are built
+through the plain `GSet` constructor, and stay lazy: a row is computed
+from the parents' rows when asked for.  Storing the rows of a product of
+coset spaces would take |G|·|X|·|Y| entries to answer a few orbit and
+stabilizer queries, so a product alone also computes a single image from
+its factors' images.  Products of validated permutations skip the
+bijection check, which only outside input needs.
 
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
@@ -627,16 +628,16 @@ class Rows:
 
     ``row(gset, k)`` returns the image index of every point of gset, in
     point order, under the group element with index k.  ``image(gset, k,
-    idx)`` returns one entry of that row.  Lazy composites give it so that
-    a stabilizer sweep costs one index computation per element instead of
-    one row; a verified set reads its stored rows and needs none.
+    idx)`` returns one entry of that row, by default read from the row.  A
+    product gives its own, so that a stabilizer sweep costs one index
+    computation per element instead of a row of |X|·|Y| entries.
     """
 
     __slots__ = ("row", "image")
 
     def __init__(self, row, image=None):
         self.row = row
-        self.image = image
+        self.image = image or (lambda gset, k, idx: row(gset, k)[idx])
 
 
 def _pointwise(act_fn) -> Rows:
@@ -654,28 +655,26 @@ def _pointwise(act_fn) -> Rows:
             )
         return out
 
-    def image(gset, k, idx):
-        return gset._index[act_fn(gset.group.elements[k], gset.points[idx])]
-
-    return Rows(row, image)
+    return Rows(row)
 
 
 class GSet:
     """A finite G-set: an indexed point list plus an action given as rows.
 
     Row k lists the image index of every point under the group element
-    with index k (see `Rows`); a pointwise action function is adapted onto
+    with index k, and the set reads every row and single image through its
+    one rule (see `Rows`); a pointwise action function is adapted onto
     rows.  ``from_point_action`` caps the points and the table entries,
     then verifies the action: it evaluates the row of every element, checks
-    the action axioms on them and stores them, |G|·|X| entries in all, so
-    ``row``, ``act``, ``act_index`` and ``table`` are list lookups.  The plain constructor
-    is the trusted path: it neither caps nor verifies.  The composites
-    (products, disjoint unions, restrictions) use it after checking their
-    size by arithmetic, take their axioms from their verified parents and
-    stay lazy: each row or single image is computed from the parents' rows
-    when asked for.  A product's point count is the product of its
-    factors', so storing its rows would cost more than the few orbit and
-    stabilizer queries it answers.
+    the action axioms on them, and makes the stored rows, |G|·|X| entries
+    in all, the rule, so ``row``, ``act``, ``act_index`` and ``table`` are
+    list lookups.  The plain constructor is the trusted path: it neither
+    caps nor verifies.  The composites (products, disjoint unions,
+    restrictions) use it after checking their size by arithmetic, take
+    their axioms from their verified parents and stay lazy: each row is
+    computed from the parents' rows when asked for.  A product's point
+    count is the product of its factors', so storing its rows would cost
+    more than the few orbit and stabilizer queries it answers.
     """
 
     def __init__(self, group: PermGroup, points, act_fn, label: str = "gset"):
@@ -686,8 +685,6 @@ class GSet:
         if len(self._index) != len(self.points):
             raise ValueError(f"duplicate points in {label}")
         self._rule = act_fn if isinstance(act_fn, Rows) else _pointwise(act_fn)
-        # the rows of every group element, once verified
-        self._tables: list[list[int]] | None = None
 
     @classmethod
     def from_point_action(cls, group: PermGroup, points, act_fn, label: str = "gset") -> GSet:
@@ -709,16 +706,11 @@ class GSet:
         return self._index[point]
 
     def row(self, k: int) -> list[int]:
-        """Image indices of all points under the element with index k:
-        stored when verified, computed from the parents' rows otherwise."""
-        if self._tables is not None:
-            return self._tables[k]
+        """Image indices of all points under the element with index k."""
         return self._rule.row(self, k)
 
     def _image(self, k: int, idx: int) -> int:
         """Index of the image of point idx under the element with index k."""
-        if self._tables is not None:
-            return self._tables[k][idx]
         return self._rule.image(self, k, idx)
 
     def act(self, g: Permutation, point):
@@ -734,10 +726,8 @@ class GSet:
 
     def _stabilizer_indices(self, idx: int) -> list[int]:
         """The indices of the group elements fixing the point with index idx."""
-        if self._tables is not None:
-            return [k for k, t in enumerate(self._tables) if t[idx] == idx]
-        image = self._image
-        return [k for k in range(self.group.order) if image(k, idx) == idx]
+        image = self._rule.image
+        return [k for k in range(self.group.order) if image(self, k, idx) == idx]
 
     def _verify_action(self):
         """Evaluate the row of every element and check the axioms on the
@@ -777,7 +767,7 @@ class GSet:
                         f"action axiom fails in {self.label}: ({elements[si]})*({g}) on "
                         f"{points[k]!r}: {points[tsg[k]]!r} != {points[ts[tg[k]]]!r}"
                     )
-        self._tables = tables
+        self._rule = Rows(lambda gset, k: tables[k])
 
     def __repr__(self):
         return f"<GSet {self.label}: {self.size} points, {self.group!r}>"
@@ -830,10 +820,7 @@ def disjoint_union(s: GSet, t: GSet) -> GSet:
     def row(gset, k):
         return s.row(k) + [ns + x for x in t.row(k)]
 
-    def image(gset, k, idx):
-        return s._image(k, idx) if idx < ns else ns + t._image(k, idx - ns)
-
-    return GSet(s.group, points, Rows(row, image), label=label)
+    return GSet(s.group, points, Rows(row), label=label)
 
 
 def symmetric_power(s: GSet, i: int) -> GSet:
@@ -864,6 +851,10 @@ def p_mu_gset(s: GSet, mu) -> GSet:
             return
         head, tail = parts[0], parts[1:]
         for block in itertools.combinations(remaining, head):
+            if not tail:
+                # the last block leaves nothing to list
+                yield (block,)
+                continue
             rest = [x for x in remaining if x not in block]
             for suffix in tuples(rest, tail):
                 yield (block,) + suffix
@@ -925,7 +916,8 @@ class BurnsideElement(Combination):
     keyed by canonical stabilizer fingerprints.  Immutable; zero
     coefficients are dropped (`ring.Combination`); the product is
     `burnside_mul`.  The constructor refuses a key that is not the
-    canonical key of a subgroup (`PermGroup._is_class_key`)."""
+    canonical key of a subgroup (`PermGroup._is_class_key`), whatever its
+    coefficient."""
 
     __slots__ = ()
     _MISMATCH = "group mismatch"
@@ -933,11 +925,11 @@ class BurnsideElement(Combination):
     def __init__(self, group: PermGroup, coeffs=None):
         clean = {}
         for key, c in (coeffs or {}).items():
+            key = tuple(key)
+            if not group._is_class_key(key):
+                raise ValueError(f"{key} is not the canonical key of a subgroup")
             c = operator.index(c)
             if c:
-                key = tuple(key)
-                if not group._is_class_key(key):
-                    raise ValueError(f"{key} is not the canonical key of a subgroup")
                 clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
@@ -1140,13 +1132,9 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
                 raise ValueError(f"image {image} is not in the acting group")
     # element index in h -> element index of its image in s's group
     phi_index = [s.group.index_of(phi[g]) for g in h.elements]
-    rows = Rows(
-        lambda gset, k: s.row(phi_index[k]),
-        lambda gset, k, idx: s._image(phi_index[k], idx),
-    )
     label = f"res({s.label})"
     _check_points(s.size, label)
-    return GSet(h, s.points, rows, label=label)
+    return GSet(h, s.points, Rows(lambda gset, k: s.row(phi_index[k])), label=label)
 
 
 def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:

@@ -512,6 +512,14 @@ def test_burnside_element_rejects_keys_that_are_not_class_keys(key):
         BurnsideElement(group, {key: 1})
 
 
+@pytest.mark.parametrize("key", [(0, 5), (7,), "junk"])
+def test_burnside_element_checks_keys_with_zero_coefficients(key):
+    # a zero coefficient is dropped, but only after its key is checked, as
+    # SchurElement does
+    with pytest.raises(ValueError, match="not the canonical key"):
+        BurnsideElement(symmetric_group(3), {key: 0})
+
+
 # ------------------------------------------------------------------ rendering
 
 
@@ -821,6 +829,42 @@ def test_row_index_outside_the_point_set_is_rejected(outside):
 
     with pytest.raises(ValueError, match="leaves the point set"):
         GSet.from_point_action(group, [1, 2, 3], engine.Rows(row))
+
+
+def test_verified_set_runs_its_rule_once_per_element():
+    # the stored rows become the set's rule: every later read is a lookup
+    group = symmetric_group(4)
+    elements = group.elements
+    calls = []
+
+    def row(gset, k):
+        calls.append(k)
+        return [p - 1 for p in elements[k].images]
+
+    nat = GSet.from_point_action(group, [1, 2, 3, 4], engine.Rows(row))
+    assert sorted(calls) == list(range(group.order))
+    g = parse_permutation("(1 2 3)", 4)
+    k = group.index_of(g)
+    assert nat.row(k) == nat.table(g) == [1, 2, 0, 3]
+    assert nat.act(g, 3) == 1 and nat.act_index(g, 0) == 1
+    assert orbits(nat) == [[0, 1, 2, 3]]
+    assert stabilizer(nat, 4).order == 6
+    assert decompose(nat) == decompose(natural_gset(group))
+    assert len(calls) == group.order
+
+
+def test_block_tuples_list_the_last_block_without_a_leftover():
+    # P_(1) of 50,000 points: listing the rest after the last block cost
+    # |S| per point, minutes in all
+    script = (
+        "from burnside.engine import group_closure, natural_gset, p_mu_gset\n"
+        "print(p_mu_gset(natural_gset(group_closure([], degree=50000)), (1,)).size)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "50000\n"
 
 
 def test_point_cap_stops_generation():
