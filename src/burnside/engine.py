@@ -129,17 +129,16 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> Permutation:
+        moved = [p for cycle in cycles for p in cycle if len(cycle) > 1]
+        if len(moved) != len(set(moved)):
+            raise ValueError(f"cycles are not disjoint: {cycles}")
         images = list(range(1, degree + 1))
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 1 <= a <= degree:
                     raise ValueError(f"point {a} outside 1..{degree}")
                 images[a - 1] = b
-        perm = cls(images)
-        moved = [p for cycle in cycles for p in cycle if len(cycle) > 1]
-        if len(moved) != len(set(moved)):
-            raise ValueError(f"cycles are not disjoint: {cycles}")
-        return perm
+        return cls(images)
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
@@ -199,9 +198,9 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse disjoint-cycle notation like ``(1 2)(3 4)``; ``()`` is the
-    identity.  Degree defaults to the largest point mentioned."""
+def _parse_cycles(text: str) -> list[tuple[int, ...]]:
+    """The cycles of disjoint-cycle notation like ``(1 2)(3 4)``, each of
+    integer points >= 1 without a repeat; ``()`` has none."""
     stripped = text.strip()
     cycles = []
     consumed = _CYCLE_RE.sub("", stripped)
@@ -220,6 +219,12 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         if len(set(cyc)) != len(cyc):
             raise ValueError(f"repeated point in cycle ({body})")
         cycles.append(cyc)
+    return cycles
+
+
+def _permutation(cycles, degree: int | None) -> Permutation:
+    """The permutation of parsed cycles; degree defaults to the largest
+    point mentioned."""
     largest = max((p for c in cycles for p in c), default=1)
     if degree is None:
         degree = largest
@@ -228,36 +233,47 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
+def parse_permutation(text: str, degree: int | None = None) -> Permutation:
+    """Parse disjoint-cycle notation like ``(1 2)(3 4)``; ``()`` is the
+    identity.  Degree defaults to the largest point mentioned."""
+    return _permutation(_parse_cycles(text), degree)
+
+
 def parse_group_file(text: str) -> tuple[list[Permutation], int]:
     """Parse the group input format: one permutation per line in cycle
     notation, optional ``degree N`` header, blank lines and ``#`` comments
-    ignored.  Returns (generators, degree).  Errors carry line numbers."""
+    ignored.  Returns (generators, degree).  Errors carry line numbers.
+
+    Each line's cycles are read once.  The degree, the header's or else
+    the largest point, is fixed before any permutation is built; the
+    natural set has that many points, so a degree over DEFAULT_POINT_CAP
+    is refused there, with that set's own error."""
     degree = None
-    raw: list[tuple[int, str]] = []
+    lines: list[tuple[int, list]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if body.lower().startswith("degree"):
-            if raw or degree is not None:
+            if lines or degree is not None:
                 raise GroupFileError(lineno, "degree header must come first")
             parts = body.split()
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise GroupFileError(lineno, f"bad degree header: {body!r}")
             degree = int(parts[1])
             continue
-        raw.append((lineno, body))
-    if degree is None:
-        degree = 1
-        for lineno, body in raw:
-            try:
-                degree = max(degree, parse_permutation(body).degree)
-            except ValueError as exc:
-                raise GroupFileError(lineno, str(exc)) from None
-    gens = []
-    for lineno, body in raw:
         try:
-            gens.append(parse_permutation(body, degree))
+            lines.append((lineno, _parse_cycles(body)))
+        except ValueError as exc:
+            raise GroupFileError(lineno, str(exc)) from None
+    if degree is None:
+        degree = max((p for _, cycles in lines for c in cycles for p in c), default=1)
+    if degree > partitions.DEFAULT_POINT_CAP:
+        raise CapExceeded("point-count", partitions.DEFAULT_POINT_CAP, f"natural({{1..{degree}}})")
+    gens = []
+    for lineno, cycles in lines:
+        try:
+            gens.append(_permutation(cycles, degree))
         except ValueError as exc:
             raise GroupFileError(lineno, str(exc)) from None
     return gens, degree
@@ -422,36 +438,24 @@ class PermGroup:
         g_of, by_images = g.images.__getitem__, self._by_images
         return [by_images[tuple(map(g_of, h0))] for h0 in rights0]
 
-    def _left_cosets(self, members, candidates=None) -> tuple[list[tuple[int, int]], list]:
+    def _left_cosets(self, members) -> tuple[list[tuple[int, int]], list]:
         """Split the group into the left cosets g·H of the subgroup H with
-        the given members, sweeping the candidates in order: each candidate
-        whose coset is new becomes the next transversal element g_j, and
-        every element g_j·h_k is recorded as the pair (j, k).  By default
-        the candidates are the elements, and a covered coset is skipped, so
-        g_j is the least element of its coset; a caller's candidates must
-        each be in the group and open a new coset, and together cover the
-        group.  Returns the pair of every element index, and the
-        transversal."""
-        products, by_images = self._products, self._by_images
+        the given members, sweeping the elements in order: each element
+        whose coset is new becomes the next transversal element g_j, so g_j
+        is the least element of its coset, and every element g_j·h_k is
+        recorded as the pair (j, k).  Returns the pair of every element
+        index, and the transversal."""
+        products = self._products
         members0 = [_zero_based(m) for m in members]
         split: list = [None] * self.order
         reps = []
-        for g in self.elements if candidates is None else candidates:
-            first = by_images.get(g.images)
-            if first is None:
-                raise ValueError(f"transversal element {g} is not in the group")
-            if split[first] is not None:
-                if candidates is None:
-                    continue
-                raise ValueError(
-                    f"invalid transversal: {reps[split[first][0]]} and {g} share a coset"
-                )
+        for gi, g in enumerate(self.elements):
+            if split[gi] is not None:
+                continue
             j = len(reps)
             reps.append(g)
             for k, x in enumerate(products(g, members0)):
                 split[x] = (j, k)
-        if None in split:
-            raise ValueError("invalid transversal: cosets do not cover the group")
         return split, reps
 
     def coset_space(self, key: tuple[int, ...]) -> GSet:
@@ -535,10 +539,10 @@ def _sweep(elements, identity: Permutation) -> tuple[list[Permutation], set]:
     return gens, known
 
 
-def _closure(seed: set, gens, cap: int | None = None, construction: str = "") -> set:
+def _closure(seed: set, gens, cap: int | None = None, error: CapExceeded | None = None) -> set:
     """The image tuples of the elements generated from the image tuples in
     seed by right multiplication with the generators; once the set would
-    pass the cap, CapExceeded for the named construction."""
+    pass the cap, the given error."""
     gens0 = [_zero_based(s) for s in gens]
     out = set(seed)
     frontier = list(seed)
@@ -550,7 +554,7 @@ def _closure(seed: set, gens, cap: int | None = None, construction: str = "") ->
                 new = tuple(map(cur_of, s0))
                 if new not in out:
                     if cap is not None and len(out) >= cap:
-                        raise CapExceeded("group-order", cap, construction)
+                        raise error
                     out.add(new)
                     nxt.append(new)
         frontier = nxt
@@ -558,10 +562,12 @@ def _closure(seed: set, gens, cap: int | None = None, construction: str = "") ->
 
 
 def group_closure(generators, degree: int | None = None) -> PermGroup:
-    """Close a generator list into an explicit PermGroup, failing with a
-    structured error once the element count would pass the group-order cap
-    (`group_cap_default()`).  The closure runs on image tuples, and each
-    element is wrapped once."""
+    """Close a generator list into an explicit PermGroup.  Its elements
+    take order·degree image entries, so the closure fails with a
+    structured error once the element count would pass the group-order
+    cap (`group_cap_default()`) or TABLE_CAP entries, naming whichever
+    bound is smaller (the group-order cap on a tie).  The closure runs on
+    image tuples, and each element is wrapped once."""
     generators = list(generators)
     if degree is None:
         if not generators:
@@ -573,12 +579,16 @@ def group_closure(generators, degree: int | None = None) -> PermGroup:
             raise ValueError(
                 f"inconsistent generator degrees: {g.degree} vs {degree}"
             )
-    seen = _closure(
-        {tuple(range(1, degree + 1))},
-        generators,
-        partitions.group_cap_default(),
-        f"closure of {len(generators)} generators",
-    )
+    construction = f"closure of {len(generators)} generators"
+    cap = partitions.group_cap_default()
+    error = CapExceeded("group-order", cap, construction)
+    if cap * degree > partitions.TABLE_CAP:
+        cap = partitions.TABLE_CAP // degree
+        error = CapExceeded("table-entries", partitions.TABLE_CAP, construction)
+        if not cap:
+            # not even the identity fits
+            raise error
+    seen = _closure({tuple(range(1, degree + 1))}, generators, cap, error)
     return PermGroup(degree, map(Permutation._trusted, seen), generators=generators)
 
 
@@ -1119,42 +1129,36 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
     images of a generating set of h; omitted, h must be a subgroup of s's
     group and the inclusion is used."""
     if gen_images is None:
-        for g in h.elements:
-            if g not in s.group:
-                raise ValueError(
-                    f"{g} is not in the acting group; supply gen_images"
-                )
-        phi = {g: g for g in h.elements}
+        phi = dict(zip(h.elements, h.elements))
     else:
         phi = extend_homomorphism(h, gen_images, s.group.degree)
-        for image in phi.values():
-            if image not in s.group:
-                raise ValueError(f"image {image} is not in the acting group")
     # element index in h -> element index of its image in s's group
-    phi_index = [s.group.index_of(phi[g]) for g in h.elements]
+    by_images = s.group._by_images
+    phi_index = []
+    for g in h.elements:
+        k = by_images.get(phi[g].images)
+        if k is None:
+            raise ValueError(f"image {phi[g]} is not in the acting group")
+        phi_index.append(k)
     label = f"res({s.label})"
     _check_points(s.size, label)
     return GSet(h, s.points, Rows(lambda gset, k: s.row(phi_index[k])), label=label)
 
 
-def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
+def induce(s: GSet, group: PermGroup) -> GSet:
     """Induce an H-set up to a supergroup: points are (transversal index,
     point) pairs, and g sends (g_i, x) to (g_j, h·x) where g·g_i = g_j·h.
-    The pair (j, x) has index j·|s| + index of x, so g's row is, for each
+    The transversal is the least element of each left coset.  The pair
+    (j, x) has index j·|s| + index of x, so g's row is, for each
     transversal index i, s's row of h shifted by j·|s|: one lookup of
     g·g_i per (element, transversal index), and none per point."""
     h = s.group
     for g in h.elements:
         if g not in group:
             raise ValueError("the acting group of s is not a subgroup")
-    if coset_reps is not None:
-        coset_reps = [
-            g if isinstance(g, Permutation) else parse_permutation(g, group.degree)
-            for g in coset_reps
-        ]
     # element index in group -> (j, k) where the element is g_j times
     # element k of s's group
-    split, reps = group._left_cosets(h.elements, coset_reps)
+    split, reps = group._left_cosets(h.elements)
     label = f"ind({s.label})"
     _check_points(len(reps) * s.size, label, group.order)
     points = ((j, p) for j in range(len(reps)) for p in s.points)
@@ -1172,14 +1176,13 @@ def induce(s: GSet, group: PermGroup, coset_reps: list | None = None) -> GSet:
     return GSet.from_point_action(group, points, Rows(row), label=label)
 
 
-def _young_projection_images(i: int, n: int) -> dict:
-    """Generator images for the projection of the {1..i}-block stabilizer in
-    S_n onto S_i (forget the action on {i+1..n})."""
+def _lift(x: GSet, n: int) -> GSet:
+    """Induce an S_i-set up to S_n through the {1..i}-block stabilizer,
+    which acts through its projection onto S_i (forget {i+1..n})."""
+    i = x.group.degree
     h = young_subgroup(i, n)
-    images = {}
-    for g in h.generators():
-        images[g] = Permutation(g(p) for p in range(1, i + 1))
-    return images
+    images = {g: Permutation(g.images[:i]) for g in h.generators()}
+    return induce(restrict(x, h, images), symmetric_group(n))
 
 
 def verify_lemma74(mu, i: int, n: int) -> dict:
@@ -1189,12 +1192,8 @@ def verify_lemma74(mu, i: int, n: int) -> dict:
     mu = Partition(mu)
     if mu.weight != i or i > n:
         raise ValueError(f"need mu |- i <= n, got mu={mu}, i={i}, n={n}")
-    small = p_mu_gset(natural_gset(symmetric_group(i)), mu)
-    h = young_subgroup(i, n)
-    restricted = restrict(small, h, _young_projection_images(i, n))
-    big_group = symmetric_group(n)
-    induced = induce(restricted, big_group)
-    target = p_mu_gset(natural_gset(big_group), mu)
+    induced = _lift(p_mu_gset(natural_gset(symmetric_group(i)), mu), n)
+    target = p_mu_gset(natural_gset(symmetric_group(n)), mu)
     expected_size = _points(pad(mu, n))
     lhs = decompose(induced)
     rhs = decompose(target)
@@ -1220,14 +1219,10 @@ def verify_lemma73(i: int, n: int) -> dict:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     small_group = symmetric_group(i)
     ell_small = lambda_general(natural_gset(small_group), i)
-    h = young_subgroup(i, n)
-    images = _young_projection_images(i, n)
     big_group = symmetric_group(n)
     pushed = BurnsideElement.zero(big_group)
     for key, c in ell_small.terms():
-        rep = small_group.coset_space(key)
-        induced = induce(restrict(rep, h, images), big_group)
-        pushed = pushed + decompose(induced) * c
+        pushed = pushed + decompose(_lift(small_group.coset_space(key), n)) * c
     ell_big = lambda_general(natural_gset(big_group), i)
     return {
         "i": i,

@@ -227,17 +227,14 @@ def pad(mu: Partition, n: int) -> Partition:
 def lex_compare(mu: Partition, nu: Partition) -> int:
     """Compare partitions of equal weight: -1, 0 or 1.
 
-    The first differing part decides; missing trailing parts count as 0.
+    The first differing part decides.  Tuple comparison says the same,
+    since neither partition is a proper prefix of the other (see
+    `Partition`).
     """
     mu, nu = Partition(mu), Partition(nu)
     if mu.weight != nu.weight:
         raise ValueError(f"lex_compare needs equal weights, got {mu.weight} and {nu.weight}")
-    for a, b in zip(mu, nu):
-        if a != b:
-            return 1 if a > b else -1
-    if len(mu) != len(nu):
-        return 1 if len(mu) > len(nu) else -1
-    return 0
+    return (mu > nu) - (mu < nu)
 
 
 def format_partition(mu) -> str:

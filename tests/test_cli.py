@@ -378,3 +378,29 @@ def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):
         code, out = run(capsys, *argv, "--format", "structured")
         assert code == 0
         assert json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("text, code, out", [
+    # the natural set has degree points: an over-cap degree is refused
+    # before any permutation of that degree is built
+    ("degree 100000000\n(1 2)\n", 3,
+     "cap exceeded: point-count cap 200000 exceeded while building natural({1..100000000})\n"),
+    ("(1 100000000)\n", 3,
+     "cap exceeded: point-count cap 200000 exceeded while building natural({1..100000000})\n"),
+    ("degree 300000\n(1 2)\n", 3,
+     "cap exceeded: point-count cap 200000 exceeded while building natural({1..300000})\n"),
+    # overlapping cycles are named as such, whether or not they compose to
+    # a bijection
+    ("(1 2)(2 3)\n", 2, "group file error: line 1: cycles are not disjoint: [(1, 2), (2, 3)]\n"),
+    ("(1 2)(1 2)\n", 2, "group file error: line 1: cycles are not disjoint: [(1, 2), (1, 2)]\n"),
+], ids=["header-degree", "largest-point", "just-over-cap", "overlap", "repeat"])
+def test_group_file_refusals_are_prompt(tmp_path, text, code, out):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "oracle", "--group", str(path), "--i", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")

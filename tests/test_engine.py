@@ -5,6 +5,8 @@ lean on definitional facts checked by hand (orbit-counting, conjugacy of
 stabilizers along an orbit, coset counts) and on tiny worked examples.
 """
 
+import contextlib
+import io
 import os
 import random
 import re
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside import engine, partitions
+from burnside import cli, engine, partitions
 from burnside.engine import (
     BurnsideElement,
     CapExceeded,
@@ -175,6 +177,32 @@ def test_group_cap_env(monkeypatch):
         group_cap_default()
     monkeypatch.delenv("BURNSIDE_GROUP_CAP")
     assert group_cap_default() == DEFAULT_GROUP_CAP
+
+
+def test_group_closure_holds_the_table_cap(monkeypatch):
+    # S_7 on 8 points: 5040 elements of 8 image entries each
+    gens = [parse_permutation("(1 2)", 8), parse_permutation("(1 2 3 4 5 6 7)", 8)]
+    monkeypatch.setattr(partitions, "TABLE_CAP", 8 * 1000)
+    refusals = []
+    for group_cap in ("5040", "1001", "1000"):
+        monkeypatch.setenv("BURNSIDE_GROUP_CAP", group_cap)
+        with pytest.raises(CapExceeded) as exc:
+            group_closure(gens)
+        refusals.append((exc.value.kind, exc.value.cap, exc.value.construction))
+    # the smaller bound is named, the group-order cap on a tie
+    assert refusals == [
+        ("table-entries", 8000, "closure of 2 generators"),
+        ("table-entries", 8000, "closure of 2 generators"),
+        ("group-order", 1000, "closure of 2 generators"),
+    ]
+    monkeypatch.setattr(partitions, "TABLE_CAP", 8 * 5040)
+    monkeypatch.setenv("BURNSIDE_GROUP_CAP", "5040")
+    assert group_closure(gens).order == 5040
+    # a degree past the table cap is refused before the identity is built
+    monkeypatch.setattr(partitions, "TABLE_CAP", 7)
+    with pytest.raises(CapExceeded) as exc:
+        group_closure([], degree=8)
+    assert (exc.value.kind, exc.value.cap) == ("table-entries", 7)
 
 
 # --------------------------------------------------------------------- actions
@@ -421,18 +449,7 @@ def test_induce_transversals():
     group = young_subgroup(2, 4)
     h = group_closure([parse_permutation("(1 2)", 4)])
     one = GSet.from_point_action(h, ["*"], lambda g, p: p)
-    good = induce(one, group, coset_reps=["()", "(3 4)"])
-    assert good.size == 2
-    assert decompose(good) == decompose(induce(one, group))
-    with pytest.raises(ValueError, match=r"^invalid transversal: \(\) and \(1 2\) share a coset$"):
-        induce(one, group, coset_reps=["()", "(1 2)"])
-    with pytest.raises(ValueError, match="do not cover"):
-        induce(one, group, coset_reps=["()"])
-    with pytest.raises(ValueError, match=r"^transversal element \(1 3\) is not in the group$"):
-        induce(one, group, coset_reps=["(3 4)", "(1 3)"])
-    # the elements are checked in the given order
-    with pytest.raises(ValueError, match="share a coset"):
-        induce(one, group, coset_reps=["(3 4)", "(1 2)(3 4)", "(1 3)"])
+    assert induce(one, group).size == 2
     with pytest.raises(ValueError, match="not a subgroup"):
         induce(natural_gset(cyclic_group(3)), symmetric_group(4))
 
@@ -770,18 +787,16 @@ def test_restrict_and_induce_rows_match_definitions(group, doubled):
         if g not in covered:
             default.append(g)
             covered |= {g * m for m in h.elements}
-    other = h.elements[-1]
-    for reps, given in ((default, None), ([r * other for r in default], [r * other for r in default])):
-        up = induce(down, group, coset_reps=given)
-        assert up.size == len(reps) * down.size
+    up = induce(down, group)
+    assert up.size == len(default) * down.size
 
-        def image(g, point):
-            j, x = point
-            moved = g * reps[j]
-            (j2,) = [j2 for j2, r in enumerate(reps) if r.inverse() * moved in h]
-            return (j2, _natural_image(reps[j2].inverse() * moved, x))
+    def image(g, point):
+        j, x = point
+        moved = g * default[j]
+        (j2,) = [j2 for j2, r in enumerate(default) if r.inverse() * moved in h]
+        return (j2, _natural_image(default[j2].inverse() * moved, x))
 
-        _rows_match(up, image)
+    _rows_match(up, image)
 
 
 def test_restrict_rows_along_a_projection():
@@ -945,3 +960,69 @@ def test_over_cap_composite_is_refused_before_any_point_is_listed(composite):
     assert (exc.value.kind, exc.value.cap, exc.value.construction) == (
         "point-count", partitions.DEFAULT_POINT_CAP, construction)
     assert peak < 1_000_000
+
+
+# -------------------------------------------------------------------- refusals
+
+
+def _usage(*argv):
+    """Run the CLI in process; a usage error (exit 2) is raised with its
+    output as the message."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code == 2:
+        raise ValueError(out.getvalue())
+
+
+def _c3_rotation():
+    return parse_permutation("(1 2 3)")
+
+
+REFUSALS = [
+    ("hom-generator-outside",
+     lambda: engine.extend_homomorphism(cyclic_group(3), {parse_permutation("(1 2)", 3): _c3_rotation()}, 3),
+     r"^generator \(1 2\) is not in the group$"),
+    ("hom-mixed-degrees",
+     lambda: engine.extend_homomorphism(
+         symmetric_group(3),
+         {parse_permutation("(1 2)", 3): parse_permutation("(1 2)", 3), _c3_rotation(): parse_permutation("()", 4)},
+         3),
+     r"^generator images have inconsistent degrees$"),
+    ("hom-wrong-degree",
+     lambda: engine.extend_homomorphism(cyclic_group(3), {_c3_rotation(): parse_permutation("(1 2 3)", 4)}, 3),
+     r"^generator images have degree 4, expected 3$"),
+    ("hom-not-generating",
+     lambda: engine.extend_homomorphism(
+         symmetric_group(3), {parse_permutation("(1 2)", 3): parse_permutation("(1 2)", 3)}, 3),
+     r"^gen_images keys do not generate the group$"),
+    ("restrict-image-outside",
+     lambda: restrict(natural_gset(cyclic_group(3)), symmetric_group(2),
+                      {parse_permutation("(1 2)"): parse_permutation("(1 2)", 3)}),
+     r"^image \(1 2\) is not in the acting group$"),
+    ("product-groups",
+     lambda: product_gset(natural_gset(cyclic_group(3)), natural_gset(symmetric_group(3))),
+     r"^product requires the same group$"),
+    ("union-groups",
+     lambda: disjoint_union(natural_gset(cyclic_group(3)), natural_gset(symmetric_group(3))),
+     r"^disjoint union requires the same group$"),
+    ("symmetric-degree", lambda: symmetric_group(0), r"^degree must be >= 1, got 0$"),
+    ("cyclic-degree", lambda: cyclic_group(0), r"^degree must be >= 1, got 0$"),
+    ("dihedral-degree", lambda: dihedral_group(2), r"^dihedral group needs n >= 3, got 2$"),
+    ("young-block", lambda: young_subgroup(3, 2), r"^need 0 <= i <= n, got i=3, n=2$"),
+    ("eq6-power", lambda: eq6_general(natural_gset(symmetric_group(3)), -1), r"^power must be >= 0, got -1$"),
+    ("to-schur-off-sn", lambda: burnside_to_schur(BurnsideElement.one(cyclic_group(3))),
+     r"^burnside_to_schur needs the full symmetric group$"),
+    ("multinomial-empty", lambda: partitions.multinomial(()),
+     r"^multinomial is undefined for the empty partition$"),
+    ("cli-sigma", lambda: _usage("sigma", "--n", "0", "--i", "1"),
+     r"^error: need n >= 1 and i >= 0, got n=0, i=1\n$"),
+    ("cli-marks", lambda: _usage("marks", "--n", "0"), r"^error: need n >= 1, got n=0\n$"),
+    ("cli-verify", lambda: _usage("verify", "--n-max", "0"), r"^error: need n-max >= 1, got 0\n$"),
+]
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusal(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
