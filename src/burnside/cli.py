@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 
@@ -467,17 +468,26 @@ def _chunks(value, indent: str = ""):
 
 
 def _emit(fmt: str, code: int, lines: Lines, payload: dict):
-    if fmt == "structured":
-        document = {
-            "status": "ok" if code == 0 else "error",
-            "payload": payload,
-            "diagnostics": [],
-        }
-        sys.stdout.writelines(_chunks(document))
-        sys.stdout.write("\n")
-    else:
-        for line in lines():
-            print(line)
+    try:
+        if fmt == "structured":
+            document = {
+                "status": "ok" if code == 0 else "error",
+                "payload": payload,
+                "diagnostics": [],
+            }
+            sys.stdout.writelines(_chunks(document))
+            sys.stdout.write("\n")
+        else:
+            for line in lines():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): the rest of the
+        # answer goes to devnull, so the interpreter's final flush stays
+        # quiet and main still returns the command's own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:

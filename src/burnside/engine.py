@@ -75,7 +75,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import partitions
-from .partitions import CapExceeded, GroupFileError, Partition, enumerate_partitions, pad
+from .partitions import CapExceeded, GroupFileError, Immutable, Partition, enumerate_partitions, pad
 from .ring import Combination, closed_terms, recursion_step
 from .schur import SchurElement, _points
 
@@ -90,7 +90,7 @@ def _check_points(count: int, label: str, order: int | None = None) -> None:
         raise CapExceeded("table-entries", partitions.TABLE_CAP, label)
 
 
-class Permutation:
+class Permutation(Immutable):
     """A permutation of {1..n}, stored as the tuple of images of 1..n.
 
     Products compose right-to-left: (a*b)(x) = a(b(x)).
@@ -113,9 +113,6 @@ class Permutation:
         object.__setattr__(perm, "images", images)
         return perm
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
     def __reduce__(self):
         return type(self)._trusted, (self.images,)
 
@@ -129,8 +126,8 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> Permutation:
-        moved = [p for cycle in cycles for p in cycle if len(cycle) > 1]
-        if len(moved) != len(set(moved)):
+        points = [p for cycle in cycles for p in cycle]
+        if len(points) != len(set(points)):
             raise ValueError(f"cycles are not disjoint: {cycles}")
         images = list(range(1, degree + 1))
         for cycle in cycles:
@@ -258,7 +255,7 @@ def parse_group_file(text: str) -> tuple[list[Permutation], int]:
             if lines or degree is not None:
                 raise GroupFileError(lineno, "degree header must come first")
             parts = body.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise GroupFileError(lineno, f"bad degree header: {body!r}")
             degree = int(parts[1])
             continue
@@ -932,27 +929,16 @@ class BurnsideElement(Combination):
     __slots__ = ()
     _MISMATCH = "group mismatch"
 
-    def __init__(self, group: PermGroup, coeffs=None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            key = tuple(key)
-            if not group._is_class_key(key):
-                raise ValueError(f"{key} is not the canonical key of a subgroup")
-            c = operator.index(c)
-            if c:
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "base", group)
-        object.__setattr__(self, "coeffs", clean)
+    @staticmethod
+    def _key(group: PermGroup, key) -> tuple:
+        key = tuple(key)
+        if not group._is_class_key(key):
+            raise ValueError(f"{key} is not the canonical key of a subgroup")
+        return key
 
     @property
     def group(self) -> PermGroup:
         return self.base
-
-    @classmethod
-    def zero(cls, group: PermGroup) -> BurnsideElement:
-        return cls._trusted(group, {})
 
     @classmethod
     def one(cls, group: PermGroup) -> BurnsideElement:

@@ -55,7 +55,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import partitions
-from .partitions import CapExceeded, Partition, enumerate_partitions
+from .partitions import CapExceeded, Immutable, Partition, enumerate_partitions
 from .schur import SchurElement
 
 
@@ -216,7 +216,7 @@ def _mark_column(mu: Partition) -> tuple:
     return tuple(_placements(tuple(nu), blocks) for nu in _order(sum(mu)))
 
 
-class MarkVector:
+class MarkVector(Immutable):
     """Marks of one element at every cycle type, in descending lex order.
 
     Immutable; equal when the ambient, the cycle types and the values are."""
@@ -227,12 +227,6 @@ class MarkVector:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "cycle_types", cycle_types)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MarkVector is immutable")
 
     def __reduce__(self):
         return type(self), self._fields()

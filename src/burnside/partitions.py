@@ -83,6 +83,19 @@ class GroupFileError(ValueError):
         return type(self), (self.line_number, self.message)
 
 
+class Immutable:
+    """Once built, an instance refuses every attribute set and delete, so
+    its constructors write through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 

@@ -13,16 +13,31 @@ Each model supplies its basis product, σ^k and [P_mu(S)].
 
 from __future__ import annotations
 
-from .partitions import TheoremViolation, enumerate_partitions, multinomial
+import operator
+
+from .partitions import Immutable, TheoremViolation, enumerate_partitions, multinomial
 
 
-class Combination:
+class Combination(Immutable):
     """An immutable integer combination of basis classes over a fixed base.
     Zero coefficients are never stored, so equality compares the base and
-    the coefficient map.  A subclass gives the product (`_product`) and the
-    base-mismatch message (`_MISMATCH`, formatted with the two bases)."""
+    the coefficient map.  A subclass gives the key check (`_key`), the
+    product (`_product`) and the base-mismatch message (`_MISMATCH`,
+    formatted with the two bases)."""
 
     __slots__ = ("base", "coeffs")
+
+    def __init__(self, base, coeffs=None):
+        """Check every key through `_key` and every coefficient through
+        `operator.index`; repeated keys add up and zeros are dropped."""
+        clean: dict = {}
+        for key, c in (coeffs or {}).items():
+            key = self._key(base, key)
+            clean[key] = clean.get(key, 0) + operator.index(c)
+            if not clean[key]:
+                del clean[key]
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def _trusted(cls, base, coeffs: dict):
@@ -34,13 +49,14 @@ class Combination:
         object.__setattr__(element, "coeffs", {k: c for k, c in coeffs.items() if c})
         return element
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @classmethod
+    def zero(cls, base):
+        return cls(base)
 
     def __reduce__(self):
         # pickle and copy rebuild through _trusted, as the default would
         # write the slots and be refused
-        return type(self)._trusted, (self.base, dict(self.coeffs))
+        return type(self)._trusted, (self.base, self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

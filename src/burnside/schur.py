@@ -23,14 +23,17 @@ grouped by that state and by the row's nonzero entries before they are
 combined with the count of the rest.  [1^n]*[1^n], for example, has n!
 matrices but only n states.
 
-The public constructor `SchurElement(n, coeffs)` checks every key (a
-partition of n) and coefficient, and so do `basis_element`, `degree` and
-`leading_term_check` on their arguments.  The elements the library builds
-from keys it already holds (sums, differences, negations, integer
-multiples, `schur_mul`, `sigma`, both lambdas and `one`) skip those
+The public constructor `SchurElement(n, coeffs)` checks n >= 1 and
+hands the rest to `ring.Combination`'s one checked constructor, which
+passes every key through `SchurElement._key` (a partition of n) and
+every coefficient through `operator.index`; `basis_element`, `degree`
+and `leading_term_check` check their arguments too.  The elements the
+library builds from keys it already holds (sums, differences, negations,
+integer multiples, `schur_mul`, `sigma` and both lambdas) skip those
 checks through `SchurElement._trusted`, which only drops zero
-coefficients, because equality compares the coefficient maps.  Every
-`TheoremViolation` check stays.
+coefficients, because equality compares the coefficient maps.  The
+refusal of every attribute set and delete lives in
+`partitions.Immutable`.  Every `TheoremViolation` check stays.
 
 The additive arithmetic of elements, the λ recursion and the closed signed
 sum are shared with the engine in `ring.py`; this module gives the
@@ -39,7 +42,6 @@ product, σ and the padding of the closed sum's keys to ambient n.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from math import factorial, prod
 
@@ -61,33 +63,23 @@ class SchurElement(Combination):
     def __init__(self, ambient: int, coeffs=None):
         if ambient < 1:
             raise ValueError(f"ambient must be >= 1, got {ambient}")
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            key = Partition(key)
-            if key.weight != ambient:
-                raise ValueError(f"basis key {key} is not a partition of {ambient}")
-            c = operator.index(c)
-            if c:
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "base", ambient)
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(ambient, coeffs)
+
+    @staticmethod
+    def _key(ambient: int, key) -> Partition:
+        key = Partition(key)
+        if key.weight != ambient:
+            raise ValueError(f"basis key {key} is not a partition of {ambient}")
+        return key
 
     @property
     def ambient(self) -> int:
         return self.base
 
     @classmethod
-    def zero(cls, n: int) -> SchurElement:
-        return cls(n)
-
-    @classmethod
     def one(cls, n: int) -> SchurElement:
         """The ring identity [P_(n)], the class of the one-point set."""
-        if n < 1:
-            raise ValueError(f"ambient must be >= 1, got {n}")
-        return cls._trusted(n, {Partition._trusted((n,)): 1})
+        return cls(n, {(n,): 1})
 
     def terms(self) -> list[tuple[Partition, int]]:
         """(key, coefficient) pairs in descending lexicographic key order."""

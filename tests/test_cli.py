@@ -404,3 +404,38 @@ def test_group_file_refusals_are_prompt(tmp_path, text, code, out):
         timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_closed_pipe_ends_the_output_quietly(tmp_path, fmt):
+    # the answer, over 200 KB, outruns the pipe buffer, so the CLI is still
+    # writing when the reader closes the pipe
+    err = tmp_path / "err"
+    with open(err, "wb") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "burnside.cli", "marks", "--n", "14", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=sink,
+        )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+    assert (code, err.read_bytes()) == (0, b"")
+
+
+@pytest.mark.parametrize("text, out", [
+    # a 1-cycle counts toward disjointness like any other cycle
+    ("(1 2)(1)\n", "cycles are not disjoint: [(1, 2), (1,)]"),
+    ("(1)(1 2)\n", "cycles are not disjoint: [(1,), (1, 2)]"),
+    ("(1 2)(3)(3)\n", "cycles are not disjoint: [(1, 2), (3,), (3,)]"),
+    # a digit that is not a decimal digit is a bad header, not an int() error
+    ("degree ²\n(1 2)\n", "bad degree header: 'degree ²'"),
+], ids=["one-cycle-last", "one-cycle-first", "repeated-one-cycle", "superscript-degree"])
+def test_group_file_cycles_and_degree_header(capsys, tmp_path, text, out):
+    path = tmp_path / "g.grp"
+    path.write_text(text, encoding="utf-8")
+    code, stdout = run(capsys, "oracle", "--group", str(path), "--i", "1")
+    assert (code, stdout) == (2, f"group file error: line 1: {out}\n")

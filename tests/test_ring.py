@@ -22,6 +22,7 @@ from burnside.engine import (
     p_mu_gset,
     symmetric_group,
 )
+from burnside.marks import marks_of
 from burnside.partitions import Partition, as_composition
 from burnside.schur import SchurElement, closed_lambda, recursive_lambda, sigma
 
@@ -141,3 +142,34 @@ def test_checked_constructors_refuse_non_integers(build, bad, good, expected):
     with pytest.raises(TypeError):
         build(bad)
     assert build(good) == expected
+
+
+VALUES = {
+    "Permutation": lambda: Permutation((2, 3, 1)),
+    "SchurElement": lambda: SchurElement(4, {(2, 2): 1, (3, 1): -2}),
+    "BurnsideElement": lambda: decompose(natural_gset(symmetric_group(3))),
+    "MarkVector": lambda: marks_of(SchurElement(4, {(2, 2): 1, (3, 1): -2})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_every_value_type_refuses_set_and_delete(kind):
+    x = VALUES[kind]()
+    assert type(x).__name__ == kind
+    slots = [name for cls in type(x).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots
+    for name in slots:
+        value = getattr(x, name)
+        with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+            delattr(x, name)
+        assert getattr(x, name) is value
+    assert x == VALUES[kind]() and repr(x) == repr(VALUES[kind]())
+
+
+def test_a_refused_delete_leaves_the_cached_lambda_whole():
+    before = closed_lambda(2, 3).render()
+    with pytest.raises(AttributeError, match="^SchurElement is immutable$"):
+        del closed_lambda(2, 3).coeffs
+    assert closed_lambda(2, 3).render() == before
