@@ -2,7 +2,9 @@
 with a brute-force G-set engine serving as an independent oracle.
 
 `partitions`, `schur` and `marks` load with the package; the engine loads
-when one of its names is first read."""
+when one of its names is first read.  The engine's names are one list,
+`_ENGINE_NAMES`: the names of `__all__` that this module does not bind.
+The package and `burnside.cli` both serve them from it."""
 
 from .partitions import (
     CapExceeded,
@@ -58,25 +60,16 @@ def __dir__():
 
 
 def clear_caches() -> None:
-    """Empty the package's unbounded result caches: `sigma`,
-    `recursive_lambda` and the record of the powers above n it has checked
-    to vanish, `closed_lambda`, the contingency-table product and its row
-    recursion, the basis point counts, the mark placement counts, the mark
-    order and the basis mark columns.  The caches only ever hold exact results, so
-    clearing changes no answer; it frees their memory in a long-lived
-    process, at the cost of recomputing on the next call."""
-    for cached in (
-        _schur.sigma,
-        _schur.recursive_lambda,
-        _schur.closed_lambda,
-        _schur._basis_product,
-        _schur._tables,
-        _schur._points,
-        _marks._placements,
-        _marks._order,
-        _marks._mark_column,
-    ):
-        cached.cache_clear()
+    """Empty the package's unbounded result caches: every cached function
+    that `schur` and `marks` declare (each has `cache_clear`), found where
+    it is declared, and the record of the powers above n that
+    `recursive_lambda` has checked to vanish.  The caches only ever hold
+    exact results, so clearing changes no answer; it frees their memory in
+    a long-lived process, at the cost of recomputing on the next call."""
+    for module in (_schur, _marks):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     _schur._vanished.clear()
 
 

@@ -21,16 +21,19 @@ or a theorem check raised TheoremViolation (an implementation bug, since
 the underlying facts are theorems), 2 usage or input error, 3 resource cap
 exceeded.  The group-order cap can be raised through the BURNSIDE_GROUP_CAP
 environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
-the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30.  An input whose
+the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30; `verify` checks every
+n up to n-max against it before any of its families runs.  An input whose
 counting recursion would pass Python's recursion limit, such as a `mul`
 operand with a thousand parts, is reported as the recursion-depth cap.
 
 Only `oracle` and `indres` load the engine, when they run; the other
 commands load `partitions`, `ring`, `schur` and `marks` and never compile
-the engine, a third of the package's source.  The engine functions the
-two engine commands use (`group_closure` and the rest) still resolve as
-attributes of this module: a module `__getattr__` reads them from the
-engine, loading it on first access, and never stores them here.
+the engine, a third of the package's source.  The engine's names still
+resolve as attributes of this module: a module `__getattr__` serves the
+package's one list of them, `burnside._ENGINE_NAMES`, reading each from
+the engine at every access, loading it on first access, and never storing
+it here.  The two engine commands call the engine's attributes in the
+same way, so a replaced engine function is the one that runs.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ import os
 import sys
 from collections.abc import Callable
 
-from .marks import mark_matrix, marks_vector_order, verify_injectivity
+from . import _ENGINE_NAMES
+from .marks import _check_cells, mark_matrix, marks_vector_order, verify_injectivity
 from .partitions import (
     CapExceeded,
     GroupFileError,
@@ -63,22 +67,10 @@ from .schur import (
 # renders a subcommand's text lines; called only in text mode
 Lines = Callable[[], list]
 
-# what `oracle` and `indres` import from the engine when they run
-_ENGINE_NAMES = frozenset({
-    "disjoint_union",
-    "eq6_general",
-    "group_closure",
-    "lambda_general",
-    "natural_gset",
-    "parse_group_file",
-    "verify_lemma73",
-    "verify_lemma74",
-})
-
 
 def __getattr__(name):
-    """Serve the engine functions the engine commands use, read from the
-    engine at each access and never stored here."""
+    """Serve the package's engine names, read from the engine at each
+    access and never stored here."""
     if name in _ENGINE_NAMES:
         from . import engine
 
@@ -89,12 +81,9 @@ def __getattr__(name):
 def cmd_lambda(args) -> tuple[int, Lines, dict]:
     if args.n < 1 or args.i < 0:
         raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
-    if args.method == "closed":
-        element = closed_lambda(args.i, args.n)
-        return 0, lambda: [element.render()], {"method": "closed", "element": element.to_json()}
-    if args.method == "recursive":
-        element = recursive_lambda(args.i, args.n)
-        return 0, lambda: [element.render()], {"method": "recursive", "element": element.to_json()}
+    if args.method != "both":
+        element = (closed_lambda if args.method == "closed" else recursive_lambda)(args.i, args.n)
+        return 0, lambda: [element.render()], {"method": args.method, "element": element.to_json()}
     closed = closed_lambda(args.i, args.n)
     recursive = recursive_lambda(args.i, args.n)
     equal = closed == recursive
@@ -122,6 +111,8 @@ def cmd_sigma(args) -> tuple[int, Lines, dict]:
 
 
 def cmd_mul(args) -> tuple[int, Lines, dict]:
+    if args.n < 1:
+        raise ValueError(f"need n >= 1, got n={args.n}")
     a = basis_element(parse_partition(args.a), args.n)
     b = basis_element(parse_partition(args.b), args.n)
     product = schur_mul(a, b)
@@ -182,6 +173,11 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
     i_max = args.i_max if args.i_max is not None else n_max + 3
     if i_max < 0:
         raise ValueError(f"need i-max >= 0, got {i_max}")
+    # the triangularity family stops at the first n whose mark matrix is
+    # over the mark-cell cap; refuse that n before any family runs.  The
+    # loop ends at the first refused n, so it is bounded by the cap.
+    for n in range(1, n_max + 1):
+        _check_cells(n)
 
     def untriangular(n):
         report = verify_injectivity(n)
@@ -254,29 +250,19 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
 def cmd_oracle(args) -> tuple[int, Lines, dict]:
     if args.i < 0:
         raise ValueError(f"need i >= 0, got {args.i}")
-    from .engine import (
-        disjoint_union,
-        eq6_general,
-        group_closure,
-        lambda_general,
-        natural_gset,
-        parse_group_file,
-    )
+    from . import engine
 
     try:
         with open(args.group, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read group file {args.group}: {exc}") from None
-    generators, deg = parse_group_file(text)
-    group = group_closure(generators, degree=deg)
-    base = natural_gset(group)
-    if args.action == "doubled":
-        gset = disjoint_union(base, base)
-    else:
-        gset = base
-    by_formula = eq6_general(gset, args.i)
-    by_recursion = lambda_general(gset, args.i)
+    generators, deg = engine.parse_group_file(text)
+    group = engine.group_closure(generators, degree=deg)
+    base = engine.natural_gset(group)
+    gset = engine.disjoint_union(base, base) if args.action == "doubled" else base
+    by_formula = engine.eq6_general(gset, args.i)
+    by_recursion = engine.lambda_general(gset, args.i)
     equal = by_formula == by_recursion
 
     def lines():
@@ -303,15 +289,15 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
 def cmd_indres(args) -> tuple[int, Lines, dict]:
     if not 1 <= args.i <= args.n:
         raise ValueError(f"need 1 <= i <= n, got i={args.i}, n={args.n}")
-    from .engine import verify_lemma73, verify_lemma74
+    from . import engine
 
     reports74 = []
     ok = True
     for mu in enumerate_partitions(args.i):
-        report = verify_lemma74(mu, args.i, args.n)
+        report = engine.verify_lemma74(mu, args.i, args.n)
         reports74.append(report)
         ok = ok and report["isomorphic"]
-    report73 = verify_lemma73(args.i, args.n)
+    report73 = engine.verify_lemma73(args.i, args.n)
     ok = ok and report73["pass"]
 
     def lines():

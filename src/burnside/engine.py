@@ -71,7 +71,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from . import partitions
@@ -309,10 +309,6 @@ class PermGroup:
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
         self._coset_cache: dict[tuple[int, ...], GSet] = {}
         self._class_product_cache: dict[tuple, dict] = {}
-        self._young_key_cache: dict[Partition, tuple[int, ...]] | None = None
-        self._young_classes: dict[tuple[int, ...], Partition] | None = None
-        self._left_multiples: list[tuple[int, list[int]]] | None = None
-        self._conjugations: list[list[int]] | None = None
 
     @property
     def order(self) -> int:
@@ -354,34 +350,31 @@ class PermGroup:
             self._gens = tuple(_sweep(self.elements, self.identity)[0])
         return self._gens
 
+    @cached_property
     def left_multiples(self) -> list[tuple[int, list[int]]]:
         """For each generator s, its element index and the index of s·g for
         every element g in order; |generators|·|G| lookups, made once."""
-        if self._left_multiples is None:
-            all0 = [_zero_based(g) for g in self.elements]
-            self._left_multiples = [
-                (self._by_images[s.images], self._products(s, all0)) for s in self.generators()
-            ]
-        return self._left_multiples
+        all0 = [_zero_based(g) for g in self.elements]
+        return [(self._by_images[s.images], self._products(s, all0)) for s in self.generators()]
 
+    @cached_property
     def conjugations(self) -> list[list[int]]:
         """For each generator s, the index of s·g·s⁻¹ for every element g
         in order; |generators|·|G| lookups, made once."""
-        if self._conjugations is None:
-            by_images = self._by_images
-            self._conjugations = []
-            for s in self.generators():
-                s_of = (None,) + s.images
-                # s·g·s⁻¹ sends x to s(g(s⁻¹(x))); g's images are read at
-                # the zero-based points s⁻¹(x) - 1
-                s_inv0 = [0] * self.degree
-                for x, p in enumerate(s.images):
-                    s_inv0[p - 1] = x
-                self._conjugations.append([
-                    by_images[tuple(map(s_of.__getitem__, map(g.images.__getitem__, s_inv0)))]
-                    for g in self.elements
-                ])
-        return self._conjugations
+        by_images = self._by_images
+        tables = []
+        for s in self.generators():
+            s_of = (None,) + s.images
+            # s·g·s⁻¹ sends x to s(g(s⁻¹(x))); g's images are read at
+            # the zero-based points s⁻¹(x) - 1
+            s_inv0 = [0] * self.degree
+            for x, p in enumerate(s.images):
+                s_inv0[p - 1] = x
+            tables.append([
+                by_images[tuple(map(s_of.__getitem__, map(g.images.__getitem__, s_inv0)))]
+                for g in self.elements
+            ])
+        return tables
 
     def canonical_key(self, subgroup_elements) -> tuple[int, ...]:
         """Conjugation-invariant fingerprint of a subgroup: the lexicographic
@@ -401,7 +394,7 @@ class PermGroup:
         hit = self._key_cache.get(members)
         if hit is not None:
             return hit
-        tables = [table.__getitem__ for table in self.conjugations()]
+        tables = [table.__getitem__ for table in self.conjugations]
         conjugates = [members]
         seen = {members}
         for conj in conjugates:
@@ -494,22 +487,26 @@ class PermGroup:
             if list(map(label_of.__getitem__, g.images)) == labels
         ]
 
+    @cached_property
+    def _young_keys(self) -> dict[Partition, tuple[int, ...]]:
+        return {
+            mu: self._canonical_key(frozenset(self._block_stabilizer(mu)))
+            for mu in enumerate_partitions(self.degree)
+        }
+
+    @cached_property
+    def _young_classes(self) -> dict[tuple[int, ...], Partition]:
+        return {key: mu for mu, key in self._young_keys.items()}
+
     def young_keys(self) -> dict[Partition, tuple[int, ...]]:
         """Canonical keys of the block stabilizers Y_mu (elements preserving
         each consecutive block of sizes mu_j), for every mu of weight n.
         Only meaningful when this group is the full symmetric group."""
-        if self._young_key_cache is None:
-            self._young_key_cache = {
-                mu: self._canonical_key(frozenset(self._block_stabilizer(mu)))
-                for mu in enumerate_partitions(self.degree)
-            }
-        return self._young_key_cache
+        return self._young_keys
 
     def young_classes(self) -> dict[tuple[int, ...], Partition]:
         """The inverse of `young_keys`: the partition mu of each block
         stabilizer class, keyed by its canonical key."""
-        if self._young_classes is None:
-            self._young_classes = {key: mu for mu, key in self.young_keys().items()}
         return self._young_classes
 
     def is_full_symmetric(self) -> bool:
@@ -763,7 +760,7 @@ class GSet:
         for k, v in enumerate(ident):
             if v != k:
                 raise ValueError(f"identity moves point {points[k]!r} in {self.label}")
-        for si, left in group.left_multiples():
+        for si, left in group.left_multiples:
             ts = tables[si]
             lookup = ts.__getitem__
             for g, tg, sg in zip(elements, tables, left):

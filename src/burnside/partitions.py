@@ -10,13 +10,14 @@ Input from outside the library is checked once, where it enters:
 `Partition(...)`, `parse_partition`, `composition_to_partition` and `pad`
 on anything that is not already a `Partition` reject a non-integer part
 (read through `operator.index`, so 2.7 is refused, not truncated), a part
-below 1 and an increase.  The partitions the library builds itself are
-valid by construction, so they skip the check through
-`Partition._trusted`: `enumerate_partitions` builds every one of its
-results that way, and `pad` trusts a `Partition` it is given, since
-inserting the positive part n - i and sorting keeps it a partition.  The
-Schur side builds dozens of keys per query, and checking each again cost
-a quarter of its time.
+below 1 and an increase.  Sizes are read the same way: the i and
+`max_parts` of `enumerate_partitions` and the n of `pad`.  The
+partitions the library builds itself are valid by construction, so they
+skip the check through `Partition._trusted`: `enumerate_partitions`
+builds every one of its results that way, and `pad` trusts a `Partition`
+it is given, since inserting the positive part n - i and sorting keeps
+it a partition.  The Schur side builds dozens of keys per query, and
+checking each again cost a quarter of its time.
 
 The package's exceptions and resource caps live here too, at the bottom
 of the import graph, so that the Schur side can raise, catch and check
@@ -154,13 +155,14 @@ def enumerate_partitions(i: int, max_parts: int | None = None) -> list[Partition
     The first element is (i), the last (1,...,1).  For i = 0 the list holds
     the single empty partition.  With `max_parts` set, only the partitions
     with at most that many parts are generated (directly, not by filtering),
-    in the same order; the list is empty when max_parts = 0 < i.
+    in the same order; the list is empty when max_parts = 0 < i.  Both
+    sizes are read through `operator.index`, so 3.5 is refused.
     """
+    i = operator.index(i)
     if i < 0:
         raise ValueError(f"cannot partition a negative integer: {i}")
-    if max_parts is None:
-        max_parts = i
-    elif max_parts < 0:
+    max_parts = i if max_parts is None else operator.index(max_parts)
+    if max_parts < 0:
         raise ValueError(f"max_parts must be >= 0, got {max_parts}")
     if i == 0:
         return [Partition()]
@@ -225,10 +227,11 @@ def pad(mu: Partition, n: int) -> Partition:
     """Extend a partition of i <= n to a partition of n by inserting n-i.
 
     Returns mu unchanged when i = n.  A `Partition` is trusted; any other
-    input is checked first.
+    input is checked first, and n is read through `operator.index`.
     """
     if not isinstance(mu, Partition):
         mu = Partition(mu)
+    n = operator.index(n)
     i = sum(mu)
     if i > n:
         raise ValueError(f"cannot pad a partition of {i} to weight {n}")

@@ -23,11 +23,12 @@ grouped by that state and by the row's nonzero entries before they are
 combined with the count of the rest.  [1^n]*[1^n], for example, has n!
 matrices but only n states.
 
-The public constructor `SchurElement(n, coeffs)` checks n >= 1 and
-hands the rest to `ring.Combination`'s one checked constructor, which
-passes every key through `SchurElement._key` (a partition of n) and
-every coefficient through `operator.index`; `basis_element`, `degree`
-and `leading_term_check` check their arguments too.  The elements the
+The public constructor `SchurElement(n, coeffs)` reads n through
+`operator.index`, checks n >= 1 and hands the rest to
+`ring.Combination`'s one checked constructor, which passes every key
+through `SchurElement._key` (a partition of n) and every coefficient
+through `operator.index`; `basis_element`, `degree` and
+`leading_term_check` check their arguments too.  The elements the
 library builds from keys it already holds (sums, differences, negations,
 integer multiples, `schur_mul`, `sigma` and both lambdas) skip those
 checks through `SchurElement._trusted`, which only drops zero
@@ -42,6 +43,7 @@ product, σ and the padding of the closed sum's keys to ambient n.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import factorial, prod
 
@@ -61,6 +63,7 @@ class SchurElement(Combination):
     _MISMATCH = "ambient mismatch: n={} vs n={}"
 
     def __init__(self, ambient: int, coeffs=None):
+        ambient = operator.index(ambient)
         if ambient < 1:
             raise ValueError(f"ambient must be >= 1, got {ambient}")
         super().__init__(ambient, coeffs)
@@ -193,11 +196,15 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     return SchurElement._trusted(a.base, out)
 
 
-def _check_power(i: int, n: int) -> None:
+def _check_power(i: int, n: int) -> tuple[int, int]:
+    """(i, n) read through `operator.index`, so a float is refused before
+    anything is cached under a key equal to an int's."""
+    i, n = operator.index(i), operator.index(n)
     if n < 1:
         raise ValueError(f"ambient must be >= 1, got {n}")
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
+    return i, n
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +214,7 @@ def sigma(i: int, n: int) -> SchurElement:
     Equals the sum over partitions mu of i with at most n parts of the basis
     class of the multiplicity profile of mu (sorted into a partition).
     """
-    _check_power(i, n)
+    i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     counts: dict[Partition, int] = {}
@@ -227,7 +234,7 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     is checked rather than assumed: every l_j with n < j <= i is computed,
     in increasing j, and a nonzero one raises TheoremViolation.
     """
-    _check_power(i, n)
+    i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     # sigma is looked up at call time, so a replaced sigma is what is checked
@@ -249,8 +256,10 @@ _vanished: dict[int, int] = {}
 def closed_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n} by the closed signed sum
     over the partitions mu of i (`ring.closed_terms`), each term padded
-    to a basis key of n."""
-    _check_power(i, n)
+    to a basis key of n.  For i > n it is zero by definition, since P_mu
+    of a weight above n is empty: of the two constructions, only
+    `recursive_lambda` checks that the powers above n vanish."""
+    i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     if i > n:

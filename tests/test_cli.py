@@ -334,6 +334,35 @@ def test_marks_past_the_cell_cap_exits_at_once():
     assert (payload["kind"], payload["which"], payload["cap"]) == ("cap", "mark-cells", 30_000_000)
 
 
+def test_verify_past_the_cell_cap_refuses_before_any_family(capsys, monkeypatch):
+    # p(8)^2 = 484 cells pass a cap of 400: the triangularity family refuses
+    # n=8, and that answer comes before any lambda is computed
+    import burnside
+    from burnside import partitions, schur
+
+    burnside.clear_caches()
+    monkeypatch.setattr(partitions, "TABLE_CAP", 400)
+    code, out = run(capsys, "verify", "--n-max", "10")
+    assert code == 3
+    assert out == "cap exceeded: mark-cells cap 400 exceeded while building the mark matrix at n=8\n"
+    assert schur.closed_lambda.cache_info().currsize == 0
+
+
+def test_verify_far_past_the_cell_cap_exits_at_once():
+    # the leading-term family would list the p(1000) partitions of n-max
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "verify", "--n-max", "1000", "--format", "structured"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)["payload"]
+    assert (payload["which"], payload["cap"]) == ("mark-cells", 30_000_000)
+    assert payload["message"].endswith("the mark matrix at n=30")
+
+
 def test_recursion_limit_is_a_cap_not_a_traceback():
     # the contingency-table count recurses once per column and once per row
     ones = "[" + ",".join(["1"] * 1000) + "]"

@@ -1019,6 +1019,10 @@ REFUSALS = [
      r"^error: need n >= 1 and i >= 0, got n=0, i=1\n$"),
     ("cli-marks", lambda: _usage("marks", "--n", "0"), r"^error: need n >= 1, got n=0\n$"),
     ("cli-verify", lambda: _usage("verify", "--n-max", "0"), r"^error: need n-max >= 1, got 0\n$"),
+    ("cli-mul", lambda: _usage("mul", "--n", "0", "--a", "[]", "--b", "[]"),
+     r"^error: need n >= 1, got n=0\n$"),
+    ("cli-mul-negative", lambda: _usage("mul", "--n", "-3", "--a", "[]", "--b", "[]"),
+     r"^error: need n >= 1, got n=-3\n$"),
 ]
 
 

@@ -5,11 +5,13 @@ tables; the heavier cross-checks against the brute-force engine live in the
 engine and acceptance suites.
 """
 
+import json
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
@@ -18,7 +20,7 @@ import pytest
 
 import burnside
 from burnside import marks, schur
-from burnside.partitions import Partition, enumerate_partitions
+from burnside.partitions import Partition, enumerate_partitions, pad
 from burnside.schur import (
     SchurElement,
     _basis_product,
@@ -270,6 +272,45 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
     assert not schur._vanished
     assert results() == before
+
+
+def test_clear_caches_finds_a_cache_where_it_is_declared(monkeypatch):
+    @lru_cache(maxsize=None)
+    def fresh(n):
+        return n
+
+    monkeypatch.setattr(schur, "_fresh", fresh, raising=False)
+    schur._fresh(1)
+    assert fresh.cache_info().currsize == 1
+    burnside.clear_caches()
+    assert fresh.cache_info().currsize == 0
+
+
+NON_INTEGER_SIZES = [
+    ("closed-power", lambda: closed_lambda(2.0, 3)),
+    ("closed-ambient", lambda: closed_lambda(2, 3.5)),
+    ("sigma-power", lambda: sigma(2.5, 3)),
+    ("sigma-ambient", lambda: sigma(3, 2.5)),
+    ("enumerate", lambda: enumerate_partitions(3.5)),
+    ("enumerate-max-parts", lambda: enumerate_partitions(4, 1.5)),
+    ("element-ambient", lambda: SchurElement(2.5)),
+    ("pad-ambient", lambda: pad(Partition((1,)), 2.5)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NON_INTEGER_SIZES],
+                         ids=[name for name, _ in NON_INTEGER_SIZES])
+def test_non_integer_sizes_are_refused_before_anything_is_cached(call):
+    # 2.0 == 2 and both hash alike, so a float size that reached a cache
+    # shared the int's entry and put float parts into every later answer
+    burnside.clear_caches()
+    with pytest.raises(TypeError):
+        call()
+    assert json.dumps(closed_lambda(2, 3).to_json()) == json.dumps({
+        "n": 3,
+        "terms": [{"partition": [2, 1], "coefficient": -1},
+                  {"partition": [1, 1, 1], "coefficient": 1}],
+    })
 
 
 def _assert_built_right(x, n):
