@@ -6,7 +6,8 @@ structured`` prints one JSON document with fields {status, payload,
 diagnostics}, serialized with sorted keys so that parse-and-redump
 round-trips exactly.  Each subcommand returns its exit code, a function
 that renders its text lines and its payload, so the structured mode never
-renders text it would throw away.
+renders text it would throw away.  `verify` only renders the report of
+the library's sweep, `burnside.verify.sweep`.
 
 The document is the text of ``json.dumps(document, indent=2,
 sort_keys=True)``, byte for byte, written piece by piece (`_chunks`):
@@ -44,8 +45,8 @@ import os
 import sys
 from collections.abc import Callable
 
-from . import _ENGINE_NAMES
-from .marks import _check_cells, mark_matrix, marks_vector_order, verify_injectivity
+from . import _ENGINE_NAMES, verify
+from .marks import mark_matrix, marks_vector_order
 from .partitions import (
     CapExceeded,
     GroupFileError,
@@ -57,8 +58,6 @@ from .partitions import (
 from .schur import (
     basis_element,
     closed_lambda,
-    degree,
-    leading_term_check,
     recursive_lambda,
     schur_mul,
     sigma,
@@ -154,97 +153,30 @@ def cmd_marks(args) -> tuple[int, Lines, dict]:
     return 0, lines, payload
 
 
-def _tally(cases, failure) -> dict:
-    """Check every case in order: failure(*case) is None on a pass and the
-    failure record otherwise."""
-    total, failures = 0, []
-    for case in cases:
-        total += 1
-        record = failure(*case)
-        if record is not None:
-            failures.append(record)
-    return {"passed": total - len(failures), "total": total, "failures": failures}
-
-
 def cmd_verify(args) -> tuple[int, Lines, dict]:
-    n_max = args.n_max
-    if n_max < 1:
-        raise ValueError(f"need n-max >= 1, got {n_max}")
-    i_max = args.i_max if args.i_max is not None else n_max + 3
-    if i_max < 0:
-        raise ValueError(f"need i-max >= 0, got {i_max}")
-    # the triangularity family stops at the first n whose mark matrix is
-    # over the mark-cell cap; refuse that n before any family runs.  The
-    # loop ends at the first refused n, so it is bounded by the cap.
-    for n in range(1, n_max + 1):
-        _check_cells(n)
+    report = verify.sweep(args.n_max, args.i_max)
+    n_max, i_max = report["n_max"], report["i_max"]
+    equal, vanish, tri, leading = (report[family] for family in verify.FAMILIES)
 
-    def untriangular(n):
-        report = verify_injectivity(n)
-        if report["triangular"] and report["diagonal_nonzero"]:
-            return None
-        return {"n": n, "failures": report["failures"]}
+    def lines():
+        k = (n_max - 1) // 2
+        out = [
+            f"lambda equalities (closed vs recursive), 1 <= i <= n <= {n_max}: "
+            f"{equal['passed']}/{equal['total']}",
+            f"vanishing above n (both constructions), n < i <= {i_max}: "
+            f"{vanish['passed']}/{vanish['total']}",
+            f"mark matrices lower-triangular with nonzero diagonal, n <= {n_max}: "
+            f"{tri['passed']}/{tri['total']}",
+        ]
+        if k >= 1:
+            out.append(
+                f"leading terms at n={n_max}, k={k}, degree sum <= {n_max // 2}: "
+                f"{leading['passed']}/{leading['checked']}"
+            )
+        return out + [report["final"]]
 
-    k = (n_max - 1) // 2
-    keys = list(enumerate_partitions(n_max)) if k >= 1 else []
-
-    def off_leading(a, b):
-        report = leading_term_check(a, b, n_max, k)
-        return None if report["ok"] else report
-
-    equal = _tally(
-        ((i, n) for n in range(1, n_max + 1) for i in range(1, min(n, i_max) + 1)),
-        lambda i, n: None if closed_lambda(i, n) == recursive_lambda(i, n) else {"i": i, "n": n},
-    )
-    vanish = _tally(
-        ((i, n) for n in range(1, n_max + 1) for i in range(n + 1, i_max + 1)),
-        lambda i, n: (
-            None if recursive_lambda(i, n).is_zero() and closed_lambda(i, n).is_zero()
-            else {"i": i, "n": n}
-        ),
-    )
-    tri = _tally(((n,) for n in range(1, n_max + 1)), untriangular)
-    leading = _tally(
-        (
-            (a, b)
-            for j, a in enumerate(keys)
-            for b in keys[j:]
-            if degree(a, n_max, k) + degree(b, n_max, k) <= n_max // 2
-        ),
-        off_leading,
-    )
-    leading["checked"] = leading.pop("total")
-
-    all_pass = not any(t["failures"] for t in (equal, vanish, tri, leading))
-    verdict = "PASS" if all_pass else "FAIL"
-    final = (
-        f"{verdict}: {equal['passed']}/{equal['total']} lambda equalities, "
-        f"{tri['passed']}/{tri['total']} mark matrices triangular"
-    )
-    lines = [
-        f"lambda equalities (closed vs recursive), 1 <= i <= n <= {n_max}: "
-        f"{equal['passed']}/{equal['total']}",
-        f"vanishing above n (both constructions), n < i <= {i_max}: "
-        f"{vanish['passed']}/{vanish['total']}",
-        f"mark matrices lower-triangular with nonzero diagonal, n <= {n_max}: "
-        f"{tri['passed']}/{tri['total']}",
-    ]
-    if k >= 1:
-        lines.append(
-            f"leading terms at n={n_max}, k={k}, degree sum <= {n_max // 2}: "
-            f"{leading['passed']}/{leading['checked']}"
-        )
-    lines.append(final)
-    payload = {
-        "n_max": n_max,
-        "i_max": i_max,
-        "lambda_equalities": equal,
-        "vanishing": vanish,
-        "mark_matrices": tri,
-        "leading_terms": leading,
-        "final": final,
-    }
-    return (0 if all_pass else 1), lambda: lines, payload
+    failed = any(report[family]["failures"] for family in verify.FAMILIES)
+    return (1 if failed else 0), lines, report
 
 
 def cmd_oracle(args) -> tuple[int, Lines, dict]:
@@ -255,7 +187,7 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
     try:
         with open(args.group, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read group file {args.group}: {exc}") from None
     generators, deg = engine.parse_group_file(text)
     group = engine.group_closure(generators, degree=deg)

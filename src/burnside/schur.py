@@ -198,7 +198,8 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
 
 def _check_power(i: int, n: int) -> tuple[int, int]:
     """(i, n) read through `operator.index`, so a float is refused before
-    anything is cached under a key equal to an int's."""
+    anything is cached.  The caches of `sigma` and both lambdas are typed:
+    (2.0, 3) equals (2, 3), and an untyped cache would answer it."""
     i, n = operator.index(i), operator.index(n)
     if n < 1:
         raise ValueError(f"ambient must be >= 1, got {n}")
@@ -207,7 +208,7 @@ def _check_power(i: int, n: int) -> tuple[int, int]:
     return i, n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sigma(i: int, n: int) -> SchurElement:
     """The class of the i-th symmetric power of {1..n}.
 
@@ -224,7 +225,7 @@ def sigma(i: int, n: int) -> SchurElement:
     return SchurElement._trusted(n, counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def recursive_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n}, computed by the defining
     recursion -(-1)^i l_i = sum_{j<i} (-1)^j l_j s_{i-j} of the structure
@@ -252,7 +253,7 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
 _vanished: dict[int, int] = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def closed_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n} by the closed signed sum
     over the partitions mu of i (`ring.closed_terms`), each term padded

@@ -9,6 +9,7 @@ single PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import time
 from math import comb
 
+from burnside import verify
 from burnside.engine import (
     burnside_to_schur,
     cyclic_group,
@@ -28,14 +29,12 @@ from burnside.engine import (
     verify_lemma73,
     verify_lemma74,
 )
-from burnside.marks import marks_of, marks_vector_order, verify_injectivity
+from burnside.marks import marks_of, marks_vector_order
 from burnside.partitions import enumerate_partitions
 from burnside.schur import (
     basis_element,
     cardinality,
     closed_lambda,
-    degree,
-    leading_term_check,
     recursive_lambda,
     schur_mul,
     sigma,
@@ -53,14 +52,9 @@ def _report(index: int, ok: bool, description: str):
 
 def test_closed_formula_matches_recursion():
     start = time.perf_counter()
-    failures = [
-        (i, n)
-        for n in range(1, 11)
-        for i in range(1, n + 1)
-        if closed_lambda(i, n) != recursive_lambda(i, n)
-    ]
+    equal = verify.lambda_equalities(10, 10)
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 60.0
+    ok = equal["passed"] == equal["total"] == 55 and elapsed < 60.0
     _report(
         1,
         ok,
@@ -109,10 +103,8 @@ def test_basis_products_match_engine():
 
 
 def test_mark_matrix_triangular_and_marks_faithful():
-    structural = all(
-        verify_injectivity(n)["triangular"] and verify_injectivity(n)["diagonal_nonzero"]
-        for n in range(1, 11)
-    )
+    triangular = verify.mark_matrices(10)
+    structural = triangular["passed"] == triangular["total"] == 10
     sampled = 0
     faithful = True
     for n in range(1, 9):
@@ -216,19 +208,9 @@ def test_lambda_cardinality_is_binomial():
 
 
 def test_leading_terms_in_low_degree_products():
-    n, k = 12, 5
-    keys = list(enumerate_partitions(n))
-    checked = 0
-    failures = []
-    for a in range(len(keys)):
-        for b in range(a, len(keys)):
-            if degree(keys[a], n, k) + degree(keys[b], n, k) > n // 2:
-                continue
-            checked += 1
-            report = leading_term_check(keys[a], keys[b], n, k)
-            if not report["ok"]:
-                failures.append(report)
-    ok = not failures and checked == 120
+    leading = verify.leading_terms(12)
+    checked = leading["checked"]
+    ok = leading["passed"] == checked == 120
     _report(
         11,
         ok,

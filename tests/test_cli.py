@@ -96,14 +96,25 @@ def test_verify_negative_i_max_is_a_usage_error(capsys):
     assert "i-max" in doc["payload"]["message"]
 
 
+def test_verify_renders_the_library_sweep(capsys):
+    # i-max below n-max: the equalities stop at i-max
+    from burnside import verify
+
+    assert verify.lambda_equalities(5, 2)["total"] == 9
+    assert verify.vanishing(3, 5)["total"] == 9
+    code, out = run(capsys, "verify", "--n-max", "5", "--i-max", "2", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["payload"] == verify.sweep(5, 2)
+
+
 def test_verify_reports_each_failed_case(capsys, monkeypatch):
     # one failing case per family, with every check called in its order
-    from burnside import cli
+    from burnside import verify
     from burnside.schur import SchurElement
 
     calls = []
-    real_closed, real_recursive = cli.closed_lambda, cli.recursive_lambda
-    real_injectivity, real_leading = cli.verify_injectivity, cli.leading_term_check
+    real_closed, real_recursive = verify.closed_lambda, verify.recursive_lambda
+    real_injectivity, real_leading = verify.verify_injectivity, verify.leading_term_check
     bad_cells = [{"cycle_type": [2], "basis_key": [1, 1], "value": 1,
                   "reason": "nonzero entry above the diagonal"}]
     bad_leading = {"kappa1": [3, 1], "kappa2": [3, 1], "degrees": [1, 1],
@@ -133,10 +144,10 @@ def test_verify_reports_each_failed_case(capsys, monkeypatch):
             return bad_leading
         return real_leading(a, b, n, k)
 
-    monkeypatch.setattr(cli, "closed_lambda", closed)
-    monkeypatch.setattr(cli, "recursive_lambda", recursive)
-    monkeypatch.setattr(cli, "verify_injectivity", injectivity)
-    monkeypatch.setattr(cli, "leading_term_check", leading)
+    monkeypatch.setattr(verify, "closed_lambda", closed)
+    monkeypatch.setattr(verify, "recursive_lambda", recursive)
+    monkeypatch.setattr(verify, "verify_injectivity", injectivity)
+    monkeypatch.setattr(verify, "leading_term_check", leading)
 
     final = "FAIL: 9/10 lambda equalities, 3/4 mark matrices triangular"
     code, out = run(capsys, "verify", "--n-max", "4", "--format", "structured")
@@ -205,6 +216,14 @@ def test_oracle_missing_file(capsys, tmp_path):
     code, out = run(capsys, "oracle", "--group", str(tmp_path / "nope.grp"), "--i", "1")
     assert code == 2
     assert out.startswith("error:")
+
+
+def test_oracle_undecodable_file_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bin.grp"
+    path.write_bytes(b"\xff\xfe(1 2)")
+    code, out = run(capsys, "oracle", "--group", str(path), "--i", "1")
+    assert code == 2
+    assert out.startswith(f"error: cannot read group file {path}: 'utf-8' codec can't decode")
 
 
 def test_oracle_cap(capsys, tmp_path, monkeypatch):

@@ -313,6 +313,19 @@ def test_non_integer_sizes_are_refused_before_anything_is_cached(call):
     })
 
 
+@pytest.mark.parametrize("fn, warm, twin", [
+    (closed_lambda, (2, 3), (2.0, 3)),
+    (closed_lambda, (2, 3), (2, 3.0)),
+    (sigma, (3, 2), (3, 2.0)),
+    (recursive_lambda, (2, 3), (2.0, 3)),
+], ids=["closed-power", "closed-ambient", "sigma-ambient", "recursive-power"])
+def test_a_warm_cache_still_refuses_a_float_size(fn, warm, twin):
+    # (2.0, 3) == (2, 3) and hashes alike, so an untyped cache answered it
+    fn(*warm)
+    with pytest.raises(TypeError):
+        fn(*twin)
+
+
 def _assert_built_right(x, n):
     """x holds only partitions of n as keys and nonzero ints as
     coefficients, and equals the element the checked constructor builds."""
