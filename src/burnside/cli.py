@@ -25,7 +25,8 @@ environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
 the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30; `verify` checks every
 n up to n-max against it before any of its families runs.  An input whose
 counting recursion would pass Python's recursion limit, such as a `mul`
-operand with a thousand parts, is reported as the recursion-depth cap.
+operand with more parts than half of it, is reported as the
+recursion-depth cap.
 
 Only `oracle` and `indres` load the engine, when they run; the other
 commands load `partitions`, `ring`, `schur` and `marks` and never compile
@@ -416,8 +417,8 @@ def main(argv=None) -> int:
         code, lines, payload = args.func(args)
     except (CapExceeded, RecursionError) as exc:
         if isinstance(exc, RecursionError):
-            # a recursion once per row or column of the input ran out of
-            # Python's stack: the input is past what this build can answer
+            # a recursion once per part of the input ran out of Python's
+            # stack, or would have: the input is past what this build can answer
             exc = CapExceeded(
                 "recursion-depth", sys.getrecursionlimit(), f"the {args.command} answer"
             )

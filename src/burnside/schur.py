@@ -17,11 +17,31 @@ counts exactly one orbit and no symmetry quotient is needed.
 The matrices are counted, not listed.  A product needs only the multiset
 of nonzero entries of each matrix, and the matrices that complete a given
 first row depend only on the multiset of column sums it leaves.  So the
-count recurses over the rows, with the remaining rows and the sorted
-remaining column sums as a cached state, and the fills of one row are
-grouped by that state and by the row's nonzero entries before they are
-combined with the count of the rest.  [1^n]*[1^n], for example, has n!
-matrices but only n states.
+count recurses over the rows (`_tables`), with the remaining rows and the
+sorted remaining column sums as a cached state.  [1^n]*[1^n], for example,
+has n! matrices but only n states.  Three choices keep that recursion
+small:
+
+- One orientation.  A transposed matrix has the same entries, so
+  `_basis_product` always takes as rows the partition with more parts (the
+  lex-larger one on a tie).  Both orders of a pair then share one count,
+  and the columns are the fewer, larger sums, whose states repeat most: a
+  `verify --n-max 16` sweep with the other orientation took about a fifth
+  longer and a tenth more memory.
+- Shared first-row fills.  The fills of a row, grouped by the capacities
+  they leave and the row's nonzero entries, depend only on the row total
+  and the sorted column sums, not on the rows below.  `_first_row`
+  computes them once for every state that starts with that row.
+- Fills by capacity class.  Columns of equal capacity are
+  interchangeable, so a row is filled class by class, not column by
+  column: m columns of capacity c take an amount through a multiset of
+  k <= m entries in 1..c, in m!/((m-k)! prod mult!) arrangements
+  (`_class_fills`, cached per capacity, class size and amount).  A row of
+  2 over a hundred columns of 1 has one option, not 4950 fills, and no
+  recursion runs once per column; the one recursion per part of an input
+  is `_tables`, once per row.  A matrix with more rows than half the
+  recursion limit is refused with RecursionError before any is counted
+  (see `_basis_product`).
 
 The public constructor `SchurElement(n, coeffs)` reads n through
 `operator.index`, checks n >= 1 and hands the rest to
@@ -44,8 +64,10 @@ product, σ and the padding of the closed sum's keys to ambient n.
 from __future__ import annotations
 
 import operator
+import sys
 from functools import lru_cache
-from math import factorial, prod
+from itertools import groupby
+from math import comb, factorial, prod
 
 from .partitions import Partition, alpha, enumerate_partitions, pad
 from .ring import Combination, closed_terms, recursion_step
@@ -124,18 +146,55 @@ def basis_element(mu, n: int) -> SchurElement:
     return SchurElement(n, {pad(mu, n): 1})
 
 
-def _row_fills(total, bounds):
-    """Weak compositions of `total` with entry j bounded by bounds[j],
-    in ascending lexicographic order."""
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    rest = bounds[1:]
-    cap = sum(rest)
-    for first in range(max(0, total - cap), min(total, bounds[0]) + 1):
-        for tail in _row_fills(total - first, rest):
-            yield (first,) + tail
+@lru_cache(maxsize=None)
+def _class_fills(c: int, m: int, amount: int) -> tuple:
+    """The ways one row puts `amount` into m columns of capacity c, one
+    option per multiset of at most m entries in 1..c that sums to `amount`:
+    (the entries, descending; the capacities they leave; the number of
+    arrangements).  k entries with multiplicities mult fall on the m
+    columns in m!/((m-k)! prod mult!) ways, chosen here value by value as a
+    product of binomials; a column that takes e keeps c - e (nothing when
+    e = c), and each of the m - k others keeps c."""
+    partial = [((), amount, 0, 1)]  # (entries, amount left, k, arrangements)
+    for e in range(c, 0, -1):
+        grown = []
+        for entries, rest, k, ways in partial:
+            for mult in range(min(rest // e, m - k) + 1):
+                # what is left must fit in the other columns at entries below e
+                if rest - e * mult <= (e - 1) * (m - k - mult):
+                    grown.append((entries + (e,) * mult, rest - e * mult, k + mult,
+                                  ways * comb(m - k, mult)))
+        partial = grown
+    return tuple(
+        (entries, (c,) * (m - k) + tuple(c - e for e in entries if e < c), ways)
+        for entries, _, k, ways in partial
+    )
+
+
+@lru_cache(maxsize=None)
+def _first_row(total: int, cols: tuple) -> dict:
+    """The fills of a row with sum `total` over the columns of capacities
+    `cols` (sorted ascending), grouped: {(capacities left, sorted; the row's
+    nonzero entries, sorted): number of fills}.  The amount is split over
+    the capacity classes of `cols`, and each class takes one of its
+    `_class_fills` options."""
+    classes = [(c, len(tuple(run))) for c, run in groupby(cols)]
+    room = [sum(c * m for c, m in classes[j:]) for j in range(len(classes) + 1)]
+    partial = [(total, (), (), 1)]  # (amount left, entries, left, fills)
+    for j, (c, m) in enumerate(classes):
+        grown = []
+        for rest, entries, left, ways in partial:
+            # what is left must fit in the classes after this one
+            for amount in range(max(0, rest - room[j + 1]), min(rest, c * m) + 1):
+                for more, kept, arrangements in _class_fills(c, m, amount):
+                    grown.append((rest - amount, entries + more, left + kept,
+                                  ways * arrangements))
+        partial = grown
+    groups: dict[tuple, int] = {}
+    for _, entries, left, ways in partial:
+        key = (tuple(sorted(left)), tuple(sorted(entries)))
+        groups[key] = groups.get(key, 0) + ways
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -144,19 +203,14 @@ def _tables(rows: tuple, cols: tuple) -> dict:
     sums `cols` (a sorted tuple of positive capacities) by the multiset of
     their nonzero entries: {entries sorted descending: number of matrices}.
 
-    The fills of the first row are grouped by (remaining capacities, sorted;
-    the row's nonzero entries), and each group's size multiplies the cached
-    counts of the remaining rows, so every matrix is counted exactly once.
+    The first row's grouped fills (`_first_row`) each multiply the cached
+    counts of the remaining rows over the capacities they leave, so every
+    matrix is counted exactly once.
     """
     if not rows:
         return {(): 1}
-    groups: dict[tuple, int] = {}
-    for row in _row_fills(rows[0], cols):
-        left = tuple(sorted(c - e for c, e in zip(cols, row) if c != e))
-        key = (left, tuple(sorted(e for e in row if e)))
-        groups[key] = groups.get(key, 0) + 1
     out: dict[tuple, int] = {}
-    for (left, entries), ways in groups.items():
+    for (left, entries), ways in _first_row(rows[0], cols).items():
         for tail, count in _tables(rows[1:], left).items():
             gamma = tuple(sorted(entries + tail, reverse=True))
             out[gamma] = out.get(gamma, 0) + ways * count
@@ -168,16 +222,26 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     """Expand [P_mu]*[P_nu] (mu, nu partitions of the same n) as
     {gamma: multiplicity}: the number of contingency tables with row sums mu
     and column sums nu whose nonzero entries sort to gamma, counted by the
-    grouped recursion of `_tables` over the rows of mu."""
+    grouped recursion of `_tables` over the rows of whichever of mu and nu
+    has more parts (the lex-larger on a tie); a transposed table has the
+    same entries."""
     n = sum(mu)
-    # [P_(n)] is the unit.  These two cases are not a shortcut: they keep
-    # [P_(n)]·[P_nu] off `_tables`, whose `_row_fills` recurses once per
-    # column, so `mul --n 1000 --a "[1000]" --b "[1^1000]"` is answered
-    # instead of running out of Python's stack.
+    # [P_(n)] is the unit.  These two cases are not a shortcut: `_tables`
+    # recurses once per row, and the rows are the longer operand, so they
+    # keep [P_(n)]·[P_(1^n)] off it, and `mul --n 1000 --a "[1000]" --b
+    # "[1^1000]"` is answered instead of refused.
     if mu == (n,):
         return {Partition._trusted(nu): 1}
     if nu == (n,):
         return {Partition._trusted(mu): 1}
+    if (len(nu), nu) > (len(mu), mu):
+        mu, nu = nu, mu
+    # Each level of that recursion spends two of the interpreter's limit
+    # before CPython 3.13 (the cache's wrapper and the body), so a table
+    # with more rows than half the limit is refused at once, alike on every
+    # version, not after a descent of hundreds of levels.
+    if 2 * len(mu) > sys.getrecursionlimit():
+        raise RecursionError(f"{len(mu)} rows pass half the recursion limit")
     return {
         Partition._trusted(gamma): count
         for gamma, count in _tables(tuple(mu), tuple(sorted(nu))).items()

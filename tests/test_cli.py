@@ -3,12 +3,12 @@
 import json
 import subprocess
 import sys
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from burnside.cli import main
-from burnside.schur import basis_element, cardinality
+from burnside.schur import SchurElement, basis_element, cardinality
 
 
 def run(capsys, *argv):
@@ -383,7 +383,8 @@ def test_verify_far_past_the_cell_cap_exits_at_once():
 
 
 def test_recursion_limit_is_a_cap_not_a_traceback():
-    # the contingency-table count recurses once per column and once per row
+    # the contingency-table count recurses once per row, over the operand
+    # with more parts, in either order
     ones = "[" + ",".join(["1"] * 1000) + "]"
     for a, b in (("[999,1]", ones), (ones, "[999,1]")):
         for fmt in ("text", "structured"):
@@ -404,6 +405,46 @@ def test_recursion_limit_is_a_cap_not_a_traceback():
             payload = doc["payload"]
             assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
             assert payload["cap"] == sys.getrecursionlimit()
+
+
+def _parts(count, part):
+    return "[" + ",".join([str(part)] * count) + "]"
+
+
+def test_wide_products_are_answered():
+    # a row of the 200-part operand over a hundred columns of 2 has one
+    # option per capacity class, not a fill per column
+    twos, ones = _parts(100, 2), _parts(200, 1)
+    points = factorial(200) // 2 ** 100 * factorial(200)
+    for a, b in ((twos, ones), (ones, twos)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "mul", "--n", "200", "--a", a, "--b", b,
+             "--format", "structured"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        terms = json.loads(proc.stdout)["payload"]["element"]["terms"]
+        product = SchurElement(200, {tuple(t["partition"]): t["coefficient"] for t in terms})
+        assert cardinality(product) == points
+
+
+def test_too_many_rows_are_refused_at_once():
+    # 900 rows pass half the recursion limit: refused before any is counted
+    twos, ones = _parts(450, 2), _parts(900, 1)
+    for a, b in ((twos, ones), (ones, twos)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "mul", "--n", "900", "--a", a, "--b", b,
+             "--format", "structured"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)["payload"]
+        assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
 
 
 def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):

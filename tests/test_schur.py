@@ -250,6 +250,39 @@ def test_basis_product_counts_every_contingency_table():
                 assert _basis_product(tuple(b), tuple(a)) == expected, (b, a)
 
 
+def row_fills(total, bounds):
+    """Weak compositions of `total` with entry j bounded by bounds[j], one
+    column at a time, in ascending lexicographic order."""
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
+    rest = bounds[1:]
+    cap = sum(rest)
+    for first in range(max(0, total - cap), min(total, bounds[0]) + 1):
+        for tail in row_fills(total - first, rest):
+            yield (first,) + tail
+
+
+def grouped_row_fills(total, cols):
+    """Every fill of one row, grouped by (capacities left, sorted; the row's
+    nonzero entries, sorted)."""
+    groups = Counter()
+    for row in row_fills(total, cols):
+        left = tuple(sorted(c - e for c, e in zip(cols, row) if c != e))
+        groups[left, tuple(sorted(e for e in row if e))] += 1
+    return groups
+
+
+def test_class_fills_group_every_row_fill():
+    # the fills by capacity class against the fills column by column
+    for n in range(1, 9):
+        for nu in enumerate_partitions(n):
+            cols = tuple(sorted(nu))
+            for total in range(1, n + 1):
+                assert schur._first_row(total, cols) == grouped_row_fills(total, cols), (total, cols)
+
+
 def test_permutation_matrices_are_counted_not_enumerated():
     ones = B((1,) * 12, 12)
     assert schur_mul(ones, ones) == factorial(12) * ones
@@ -257,8 +290,8 @@ def test_permutation_matrices_are_counted_not_enumerated():
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
-              schur._tables, schur._points, marks._placements, marks._order,
-              marks._mark_column)
+              schur._tables, schur._first_row, schur._class_fills, schur._points,
+              marks._placements, marks._order, marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
