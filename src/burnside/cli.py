@@ -25,8 +25,8 @@ environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
 the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30; `verify` checks every
 n up to n-max against it before any of its families runs.  An input whose
 counting recursion would pass Python's recursion limit, such as a `mul`
-operand with more parts than half of it, is reported as the
-recursion-depth cap.
+of two operands that each have more parts than half of it, is reported
+as the recursion-depth cap.
 
 Only `oracle` and `indres` load the engine, when they run; the other
 commands load `partitions`, `ring`, `schur` and `marks` and never compile

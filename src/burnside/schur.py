@@ -23,11 +23,12 @@ has n! matrices but only n states.  Three choices keep that recursion
 small:
 
 - One orientation.  A transposed matrix has the same entries, so
-  `_basis_product` always takes as rows the partition with more parts (the
-  lex-larger one on a tie).  Both orders of a pair then share one count,
-  and the columns are the fewer, larger sums, whose states repeat most: a
-  `verify --n-max 16` sweep with the other orientation took about a fifth
-  longer and a tenth more memory.
+  `_basis_product` takes as rows the partition with more parts (the
+  lex-larger one on a tie; for the one exception see the last point).
+  Both orders of a pair then share one count, and the columns are the
+  fewer, larger sums, whose states repeat most: a `verify --n-max 16`
+  sweep with the other orientation took about a fifth longer and a tenth
+  more memory.
 - Shared first-row fills.  The fills of a row, grouped by the capacities
   they leave and the row's nonzero entries, depend only on the row total
   and the sorted column sums, not on the rows below.  `_first_row`
@@ -39,9 +40,10 @@ small:
   (`_class_fills`, cached per capacity, class size and amount).  A row of
   2 over a hundred columns of 1 has one option, not 4950 fills, and no
   recursion runs once per column; the one recursion per part of an input
-  is `_tables`, once per row.  A matrix with more rows than half the
-  recursion limit is refused with RecursionError before any is counted
-  (see `_basis_product`).
+  is `_tables`, once per row.  So when the longer operand has more parts
+  than half the recursion limit, the shorter one is taken as rows, and
+  only a pair with both that long is refused with RecursionError, before
+  any matrix is counted (see `_basis_product`).
 
 The public constructor `SchurElement(n, coeffs)` reads n through
 `operator.index`, checks n >= 1 and hands the rest to
@@ -223,25 +225,29 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     {gamma: multiplicity}: the number of contingency tables with row sums mu
     and column sums nu whose nonzero entries sort to gamma, counted by the
     grouped recursion of `_tables` over the rows of whichever of mu and nu
-    has more parts (the lex-larger on a tie); a transposed table has the
-    same entries."""
+    has more parts (the lex-larger on a tie), or of the other one when that
+    is past half the recursion limit; a transposed table has the same
+    entries."""
     n = sum(mu)
-    # [P_(n)] is the unit.  These two cases are not a shortcut: `_tables`
-    # recurses once per row, and the rows are the longer operand, so they
-    # keep [P_(n)]·[P_(1^n)] off it, and `mul --n 1000 --a "[1000]" --b
-    # "[1^1000]"` is answered instead of refused.
+    # [P_(n)] is the unit, so its products need no table
     if mu == (n,):
         return {Partition._trusted(nu): 1}
     if nu == (n,):
         return {Partition._trusted(mu): 1}
     if (len(nu), nu) > (len(mu), mu):
         mu, nu = nu, mu
-    # Each level of that recursion spends two of the interpreter's limit
-    # before CPython 3.13 (the cache's wrapper and the body), so a table
-    # with more rows than half the limit is refused at once, alike on every
-    # version, not after a descent of hundreds of levels.
-    if 2 * len(mu) > sys.getrecursionlimit():
-        raise RecursionError(f"{len(mu)} rows pass half the recursion limit")
+    # `_tables` recurses once per row, and before CPython 3.13 each level
+    # spends two of the interpreter's limit (the cache's wrapper and the
+    # body).  So when the longer operand has more parts than half the limit
+    # the shorter one is taken as rows, and a pair with both that long is
+    # refused at once, alike on every version, not after a descent of
+    # hundreds of levels.
+    limit = sys.getrecursionlimit()
+    if 2 * len(mu) > limit:
+        if 2 * len(nu) > limit:
+            raise RecursionError(
+                f"{len(nu)} and {len(mu)} parts both pass half the recursion limit")
+        mu, nu = nu, mu
     return {
         Partition._trusted(gamma): count
         for gamma, count in _tables(tuple(mu), tuple(sorted(nu))).items()

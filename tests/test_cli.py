@@ -382,18 +382,22 @@ def test_verify_far_past_the_cell_cap_exits_at_once():
     assert payload["message"].endswith("the mark matrix at n=30")
 
 
+def _parts(count, part):
+    return "[" + ",".join([str(part)] * count) + "]"
+
+
 def test_recursion_limit_is_a_cap_not_a_traceback():
-    # the contingency-table count recurses once per row, over the operand
-    # with more parts, in either order
-    ones = "[" + ",".join(["1"] * 1000) + "]"
-    for a, b in (("[999,1]", ones), (ones, "[999,1]")):
+    # the contingency-table count recurses once per row, and both operands
+    # pass half the recursion limit: refused before any table is counted
+    twos, ones = _parts(600, 2), _parts(1200, 1)
+    for a, b in ((twos, ones), (ones, twos)):
         for fmt in ("text", "structured"):
             proc = subprocess.run(
-                [sys.executable, "-m", "burnside.cli", "mul", "--n", "1000", "--a", a, "--b", b,
+                [sys.executable, "-m", "burnside.cli", "mul", "--n", "1200", "--a", a, "--b", b,
                  "--format", fmt],
                 capture_output=True,
                 text=True,
-                timeout=30,
+                timeout=10,
             )
             assert proc.returncode == 3
             assert proc.stderr == ""
@@ -407,8 +411,18 @@ def test_recursion_limit_is_a_cap_not_a_traceback():
             assert payload["cap"] == sys.getrecursionlimit()
 
 
-def _parts(count, part):
-    return "[" + ",".join([str(part)] * count) + "]"
+def _mul_points(n, a, b, timeout):
+    """The point count of `mul --n n --a a --b b`, run in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnside.cli", "mul", "--n", str(n), "--a", a, "--b", b,
+         "--format", "structured"],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    terms = json.loads(proc.stdout)["payload"]["element"]["terms"]
+    return cardinality(SchurElement(n, {tuple(t["partition"]): t["coefficient"] for t in terms}))
 
 
 def test_wide_products_are_answered():
@@ -417,34 +431,18 @@ def test_wide_products_are_answered():
     twos, ones = _parts(100, 2), _parts(200, 1)
     points = factorial(200) // 2 ** 100 * factorial(200)
     for a, b in ((twos, ones), (ones, twos)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "burnside.cli", "mul", "--n", "200", "--a", a, "--b", b,
-             "--format", "structured"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert proc.returncode == 0, proc.stderr
-        terms = json.loads(proc.stdout)["payload"]["element"]["terms"]
-        product = SchurElement(200, {tuple(t["partition"]): t["coefficient"] for t in terms})
-        assert cardinality(product) == points
+        assert _mul_points(200, a, b, timeout=30) == points
 
 
-def test_too_many_rows_are_refused_at_once():
-    # 900 rows pass half the recursion limit: refused before any is counted
-    twos, ones = _parts(450, 2), _parts(900, 1)
-    for a, b in ((twos, ones), (ones, twos)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "burnside.cli", "mul", "--n", "900", "--a", a, "--b", b,
-             "--format", "structured"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        assert proc.returncode == 3
-        assert proc.stderr == ""
-        payload = json.loads(proc.stdout)["payload"]
-        assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
+@pytest.mark.parametrize("short", [(599, 1), (999, 1), (2,) * 450])
+def test_an_operand_past_half_the_limit_is_taken_as_columns(short):
+    # n ones pass half the recursion limit, so the shorter operand is the
+    # rows, in either order
+    n = sum(short)
+    points = factorial(n) * cardinality(basis_element(short, n))
+    text, ones = "[" + ",".join(map(str, short)) + "]", _parts(n, 1)
+    for a, b in ((text, ones), (ones, text)):
+        assert _mul_points(n, a, b, timeout=10) == points
 
 
 def test_structured_mode_renders_no_text(capsys, monkeypatch, tmp_path):
