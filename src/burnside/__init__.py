@@ -1,10 +1,15 @@
 """Exact lambda-ring arithmetic on Burnside rings of symmetric groups,
 with a brute-force G-set engine serving as an independent oracle.
 
-`partitions`, `schur` and `marks` load with the package; the engine loads
-when one of its names is first read.  The engine's names are one list,
-`_ENGINE_NAMES`: the names of `__all__` that this module does not bind.
-The package and `burnside.cli` both serve them from it."""
+Only `partitions` loads with the package.  Every other module loads when
+it is first needed: the other exported names are one table, `_HOMES`
+(name -> the module that defines it), and the module `__getattr__` reads
+each from its module, importing it on first access.  The engine's names,
+`_ENGINE_NAMES`, are the table's names whose home is the engine;
+`burnside.cli` serves them too."""
+
+import sys
+from importlib import import_module
 
 from .partitions import (
     CapExceeded,
@@ -20,60 +25,102 @@ from .partitions import (
     pad,
     parse_partition,
 )
-from .schur import (
-    SchurElement,
-    basis_element,
-    cardinality,
-    closed_lambda,
-    degree,
-    leading_term_check,
-    recursive_lambda,
-    schur_mul,
-    sigma,
-)
-from .marks import (
-    MarkVector,
-    fixed_points,
-    mark_matrix,
-    mark_rows,
-    marks_of,
-    verify_injectivity,
-)
-from . import marks as _marks
-from . import schur as _schur
+
+# exported name -> the module that defines it, imported when the name is
+# first read
+_HOMES = {
+    **dict.fromkeys((
+        "SchurElement",
+        "basis_element",
+        "cardinality",
+        "closed_lambda",
+        "degree",
+        "leading_term_check",
+        "recursive_lambda",
+        "schur_mul",
+        "sigma",
+    ), "schur"),
+    **dict.fromkeys((
+        "MarkVector",
+        "fixed_points",
+        "mark_matrix",
+        "mark_rows",
+        "marks_of",
+        "verify_injectivity",
+    ), "marks"),
+    **dict.fromkeys((
+        "BurnsideElement",
+        "GSet",
+        "PermGroup",
+        "Permutation",
+        "burnside_to_schur",
+        "cyclic_group",
+        "decompose",
+        "dihedral_group",
+        "disjoint_union",
+        "eq6_general",
+        "group_closure",
+        "induce",
+        "lambda_general",
+        "natural_gset",
+        "orbits",
+        "p_mu_gset",
+        "parse_group_file",
+        "parse_permutation",
+        "product_gset",
+        "restrict",
+        "schur_membership",
+        "schur_to_burnside",
+        "stabilizer",
+        "symmetric_group",
+        "symmetric_power",
+        "verify_lemma73",
+        "verify_lemma74",
+        "young_subgroup",
+    ), "engine"),
+}
+_ENGINE_NAMES = frozenset(name for name, home in _HOMES.items() if home == "engine")
 
 
 def __getattr__(name):
-    """Read an engine name from `burnside.engine`, importing it on first
-    access, so that importing the package does not compile the engine.
-    Nothing is stored here: each access reads the engine's current
-    attribute.  Hot code should import from `burnside.engine` directly."""
-    if name in _ENGINE_NAMES:
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Read an exported name from the module that defines it, importing
+    that module on first access.  Nothing is stored here: each access
+    reads the module's current attribute.  Hot code should import from
+    the module directly."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | _ENGINE_NAMES)
+    return sorted(set(globals()) | set(_HOMES))
 
 
 def clear_caches() -> None:
     """Empty the package's unbounded result caches: every cached function
-    that `schur` and `marks` declare (each has `cache_clear`), found where
-    it is declared, and the record of the powers above n that
-    `recursive_lambda` has checked to vanish.  The caches only ever hold
-    exact results, so clearing changes no answer; it frees their memory in
-    a long-lived process, at the cost of recomputing on the next call."""
-    for module in (_schur, _marks):
+    that `partitions`, `schur` and `marks` declare (each has
+    `cache_clear`), found where it is declared, and the record of the
+    powers above n that `recursive_lambda` has checked to vanish.  A
+    module not loaded yet has nothing cached, so it is not loaded here.
+    The caches only ever hold exact results, so clearing changes no answer;
+    it frees their memory in a long-lived process, at the cost of
+    recomputing on the next call."""
+    for home in ("partitions", "schur", "marks"):
+        module = sys.modules.get(f"{__name__}.{home}")
+        if module is None:
+            continue
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    _schur._vanished.clear()
+    schur = sys.modules.get(f"{__name__}.schur")
+    if schur is not None:
+        schur._vanished.clear()
 
 
 __all__ = [
+    "CapExceeded",
+    "GroupFileError",
     "Partition",
     "TheoremViolation",
     "alpha",
@@ -84,55 +131,8 @@ __all__ = [
     "multinomial",
     "pad",
     "parse_partition",
-    "SchurElement",
-    "basis_element",
-    "cardinality",
     "clear_caches",
-    "closed_lambda",
-    "degree",
-    "leading_term_check",
-    "recursive_lambda",
-    "schur_mul",
-    "sigma",
-    "MarkVector",
-    "fixed_points",
-    "mark_matrix",
-    "mark_rows",
-    "marks_of",
-    "verify_injectivity",
-    "BurnsideElement",
-    "CapExceeded",
-    "GroupFileError",
-    "GSet",
-    "PermGroup",
-    "Permutation",
-    "burnside_to_schur",
-    "cyclic_group",
-    "decompose",
-    "dihedral_group",
-    "disjoint_union",
-    "eq6_general",
-    "group_closure",
-    "induce",
-    "lambda_general",
-    "natural_gset",
-    "orbits",
-    "p_mu_gset",
-    "parse_group_file",
-    "parse_permutation",
-    "product_gset",
-    "restrict",
-    "schur_membership",
-    "schur_to_burnside",
-    "stabilizer",
-    "symmetric_group",
-    "symmetric_power",
-    "verify_lemma73",
-    "verify_lemma74",
-    "young_subgroup",
+    *_HOMES,
 ]
-
-# the names of __all__ not bound above are the engine's, served by __getattr__
-_ENGINE_NAMES = frozenset(__all__).difference(globals())
 
 __version__ = "0.1.0"

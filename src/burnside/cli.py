@@ -28,14 +28,17 @@ counting recursion would pass Python's recursion limit, such as a `mul`
 of two operands that each have more parts than half of it, is reported
 as the recursion-depth cap.
 
-Only `oracle` and `indres` load the engine, when they run; the other
-commands load `partitions`, `ring`, `schur` and `marks` and never compile
-the engine, a third of the package's source.  The engine's names still
-resolve as attributes of this module: a module `__getattr__` serves the
-package's one list of them, `burnside._ENGINE_NAMES`, reading each from
-the engine at every access, loading it on first access, and never storing
-it here.  The two engine commands call the engine's attributes in the
-same way, so a replaced engine function is the one that runs.
+Each command imports the modules it runs when it runs, so a process
+compiles only those: importing this module loads `partitions` alone;
+`lambda`, `sigma` and `mul` add `ring` and `schur`, `marks` adds
+`marks`, `verify` adds `marks`, `ring`, `schur` and `verify`, and
+`oracle` and `indres` add `ring` and the engine, two fifths of the
+package's source.  The engine's names still resolve as attributes of
+this module: a module `__getattr__` serves the package's one list of
+them, `burnside._ENGINE_NAMES`, reading each from the engine at every
+access, loading it on first access, and never storing it here.  The
+two engine commands call the engine's attributes in the same way, so a
+replaced engine function is the one that runs.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ import os
 import sys
 from collections.abc import Callable
 
-from . import _ENGINE_NAMES, verify
-from .marks import mark_matrix, marks_vector_order
+from . import _ENGINE_NAMES
 from .partitions import (
     CapExceeded,
     GroupFileError,
@@ -55,13 +57,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     parse_partition,
-)
-from .schur import (
-    basis_element,
-    closed_lambda,
-    recursive_lambda,
-    schur_mul,
-    sigma,
 )
 
 # renders a subcommand's text lines; called only in text mode
@@ -81,6 +76,8 @@ def __getattr__(name):
 def cmd_lambda(args) -> tuple[int, Lines, dict]:
     if args.n < 1 or args.i < 0:
         raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
+    from .schur import closed_lambda, recursive_lambda
+
     if args.method != "both":
         element = (closed_lambda if args.method == "closed" else recursive_lambda)(args.i, args.n)
         return 0, lambda: [element.render()], {"method": args.method, "element": element.to_json()}
@@ -106,6 +103,8 @@ def cmd_lambda(args) -> tuple[int, Lines, dict]:
 def cmd_sigma(args) -> tuple[int, Lines, dict]:
     if args.n < 1 or args.i < 0:
         raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
+    from .schur import sigma
+
     element = sigma(args.i, args.n)
     return 0, lambda: [element.render()], {"element": element.to_json()}
 
@@ -113,6 +112,8 @@ def cmd_sigma(args) -> tuple[int, Lines, dict]:
 def cmd_mul(args) -> tuple[int, Lines, dict]:
     if args.n < 1:
         raise ValueError(f"need n >= 1, got n={args.n}")
+    from .schur import basis_element, schur_mul
+
     a = basis_element(parse_partition(args.a), args.n)
     b = basis_element(parse_partition(args.b), args.n)
     product = schur_mul(a, b)
@@ -122,6 +123,8 @@ def cmd_mul(args) -> tuple[int, Lines, dict]:
 def cmd_marks(args) -> tuple[int, Lines, dict]:
     if args.n < 1:
         raise ValueError(f"need n >= 1, got n={args.n}")
+    from .marks import mark_matrix, marks_vector_order
+
     matrix = mark_matrix(args.n)
     order = marks_vector_order(args.n)
 
@@ -155,6 +158,8 @@ def cmd_marks(args) -> tuple[int, Lines, dict]:
 
 
 def cmd_verify(args) -> tuple[int, Lines, dict]:
+    from . import verify
+
     report = verify.sweep(args.n_max, args.i_max)
     n_max, i_max = report["n_max"], report["i_max"]
     equal, vanish, tri, leading = (report[family] for family in verify.FAMILIES)
@@ -341,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _SCALARS = (str, int, float, bool, type(None))
+_SCALAR_TYPES = frozenset(_SCALARS)
 _scalar = json.JSONEncoder().encode
 
 
@@ -350,9 +356,12 @@ def _chunks(value, indent: str = ""):
 
     That call runs json's pure-Python encoder, since the C encoder does no
     indentation.  Here dicts and nested lists recurse in Python, and a list
-    or tuple of scalars is one C-encoder call whose item separator carries
-    the newline and the indent.  The pieces are written as they come, so
-    no copy of the whole document is ever built."""
+    or tuple whose items' types are all scalar types is one C-encoder call
+    whose item separator carries the newline and the indent.  The types
+    are checked as one set, at C speed; an item of a subclass, such as an
+    int subclass, takes the recursive path, which writes the same text.
+    The pieces are written as they come, so no copy of the whole document
+    is ever built."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -372,7 +381,7 @@ def _chunks(value, indent: str = ""):
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
-        elif all(isinstance(item, _SCALARS) for item in value):
+        elif _SCALAR_TYPES.issuperset(map(type, value)):
             body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
             yield f"[\n{inner}{body[1:-1]}\n{indent}]"
         else:

@@ -56,10 +56,12 @@ table sizes are capped, and every cap violation raises a structured error
 naming the offending construction instead of truncating silently.  The
 caps live in `partitions`, and each is read from there where it is
 checked; of the CLI commands, only `oracle` and `indres` load this
-module.  One size check, `_check_points`, refuses the points and then
-the |G|·|X| table entries before every verified build; the composites
-store no table, so it refuses them by their point count alone and they
-are exempt from the table cap.
+module, and it loads `partitions` and `ring` but not the Schur side:
+the size of P_mu is `partitions._points`, and `burnside_to_schur`
+imports `SchurElement` when it runs.  One size check, `_check_points`,
+refuses the points and then the |G|·|X| table entries before every
+verified build; the composites store no table, so it refuses them by
+their point count alone and they are exempt from the table cap.
 
 `BurnsideElement`'s additive arithmetic, the λ recursion and the closed
 signed sum are shared with the Schur side in `ring.py`; this module gives
@@ -75,9 +77,9 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from . import partitions
-from .partitions import CapExceeded, GroupFileError, Immutable, Partition, enumerate_partitions, pad
+from .partitions import (CapExceeded, GroupFileError, Immutable, Partition, _points,
+                         enumerate_partitions, pad)
 from .ring import Combination, closed_terms, recursion_step
-from .schur import SchurElement, _points
 
 
 def _check_points(count: int, label: str, order: int | None = None) -> None:
@@ -1251,6 +1253,8 @@ def schur_to_burnside(x: SchurElement) -> BurnsideElement:
 def burnside_to_schur(x: BurnsideElement) -> SchurElement:
     """Inverse of schur_to_burnside on its image; rejects classes whose
     stabilizers are not block stabilizers."""
+    from .schur import SchurElement
+
     group = x.group
     if not group.is_full_symmetric():
         raise ValueError("burnside_to_schur needs the full symmetric group")

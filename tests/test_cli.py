@@ -272,7 +272,7 @@ def test_usage_errors(capsys):
 
 
 def test_structured_round_trips_exactly(capsys, monkeypatch, tmp_path):
-    from burnside import cli
+    from burnside import schur
     from burnside.partitions import TheoremViolation
 
     group = tmp_path / "s3.grp"
@@ -298,7 +298,7 @@ def test_structured_round_trips_exactly(capsys, monkeypatch, tmp_path):
     def violated(i, n):
         raise TheoremViolation("closed sum \u2260 recursion\tat n=3")
 
-    monkeypatch.setattr(cli, "closed_lambda", violated)
+    monkeypatch.setattr(schur, "closed_lambda", violated)
     code, out = run(capsys, "lambda", "--n", "3", "--i", "1", "--format", "structured")
     assert code == 1
     assert json.loads(out)["payload"]["kind"] == "theorem"

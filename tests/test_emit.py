@@ -11,6 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from burnside.cli import _chunks  # noqa: E402
+from burnside.partitions import Partition  # noqa: E402
 
 
 def _encode(value):
@@ -50,6 +51,23 @@ JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=40)
 @EMIT
 @given(JSON_VALUES)
 def test_emitter_equals_indented_sorted_dumps(value):
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Count(int):
+    """An int subclass, as a payload could hold."""
+
+
+# a list is one C-encoder call only when every item's type is exactly a
+# scalar type; a subclass takes the recursive path, which writes the same
+@pytest.mark.parametrize("value", [
+    [True, False, True],
+    [Count(3), 4, Count(-5)],
+    {"row": [Count(1)], "rows": [[Count(2), 0], (Count(7),)]},
+    [Partition((3, 1)), Partition((2, 2))],
+    {"order": (Partition((1,)),)},
+], ids=["bools", "int-subclass", "nested-int-subclass", "partitions", "tuple-of-partition"])
+def test_emitter_equals_dumps_on_bools_and_subclasses(value):
     assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

@@ -1,6 +1,8 @@
-"""The engine loads on first use: the Schur-side commands and a plain
-`import burnside` never import `burnside.engine`, while every engine name
-still resolves from the package and from the CLI module."""
+"""Every module loads on first use: a plain `import burnside` loads
+`partitions` alone, each command loads only the modules it runs, and the
+Schur-side commands never import `burnside.engine`, while every exported
+name still resolves from the package and every engine name from the CLI
+module."""
 
 import copy
 import json
@@ -27,9 +29,26 @@ def run_fresh(script: str) -> str:
     return proc.stdout
 
 
+# the package's modules loaded so far, as a fresh interpreter prints them
+LOADED = "sorted(m[len('burnside.'):] for m in sys.modules if m.startswith('burnside.'))"
+
+
 def test_package_import_leaves_out_the_engine():
-    script = "import sys, burnside; print('burnside.engine' in sys.modules)"
-    assert run_fresh(script) == "False\n"
+    # clearing the caches loads no module to clear
+    script = f"import sys, burnside; burnside.clear_caches(); print({LOADED})"
+    assert run_fresh(script) == "['partitions']\n"
+
+
+# the modules loaded by `from burnside import cli`, and what each command
+# adds: every module loads when a command first needs it
+LOADED_BY_IMPORT = ["cli", "partitions"]
+LOADS = {
+    "lambda": ["ring", "schur"],
+    "sigma": ["ring", "schur"],
+    "mul": ["ring", "schur"],
+    "marks": ["marks"],
+    "verify": ["marks", "ring", "schur", "verify"],
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -43,15 +62,17 @@ def test_schur_commands_leave_out_the_engine(argv):
     script = (
         "import contextlib, io, json, sys\n"
         "from burnside import cli\n"
+        f"print({LOADED})\n"
         f"argv = {json.dumps(argv)}\n"
         "codes = []\n"
         "for fmt in ('text', 'structured'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        codes.append(cli.main(argv + ['--format', fmt]))\n"
         "    assert out.getvalue()\n"
-        "print(codes, 'burnside.engine' in sys.modules)\n"
+        f"print(codes, {LOADED})\n"
     )
-    assert run_fresh(script) == "[0, 0] False\n"
+    loaded = sorted(LOADED_BY_IMPORT + LOADS[argv[0]])
+    assert run_fresh(script) == f"{LOADED_BY_IMPORT}\n[0, 0] {loaded}\n"
 
 
 def test_engine_commands_load_the_engine_and_answer(tmp_path):
@@ -60,17 +81,18 @@ def test_engine_commands_load_the_engine_and_answer(tmp_path):
     script = (
         "import contextlib, io, json, sys\n"
         "from burnside import cli\n"
-        "before = 'burnside.engine' in sys.modules\n"
+        f"print({LOADED})\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         f"    oracle = cli.main(['oracle', '--group', {str(group)!r}, '--i', '2',\n"
         "                       '--format', 'structured'])\n"
         "equal = json.loads(out.getvalue())['payload']['equal']\n"
+        f"print(oracle, equal, {LOADED})\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    indres = cli.main(['indres', '--i', '2', '--n', '3'])\n"
-        "print(before, oracle, equal, indres, out.getvalue().splitlines()[-1],\n"
-        "      'burnside.engine' in sys.modules)\n"
+        f"print(indres, out.getvalue().splitlines()[-1], {LOADED})\n"
     )
-    assert run_fresh(script) == "False 0 True 0 PASS True\n"
+    loaded = ["cli", "engine", "partitions", "ring"]
+    assert run_fresh(script) == f"{LOADED_BY_IMPORT}\n0 True {loaded}\n0 PASS {loaded}\n"
 
 
 def test_oracle_refuses_a_negative_power_before_the_group_file(capsys, tmp_path):

@@ -180,6 +180,14 @@ def test_the_walk_extends_every_prefix_once(monkeypatch):
     assert len(prefixes) == 769
 
 
+def test_the_moves_cache_lives_for_one_walk():
+    rows = marks.mark_rows(8)
+    next(rows)
+    assert marks._moves.cache_info().currsize
+    assert len(list(rows)) == len(enumerate_partitions(8)) - 1
+    assert marks._moves.cache_info().currsize == 0
+
+
 def test_mark_cells_are_capped_before_any_partition_is_enumerated(monkeypatch):
     def refuse(n):
         raise AssertionError("partitions enumerated past the cap")

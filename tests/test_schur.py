@@ -250,6 +250,16 @@ def test_basis_product_counts_every_contingency_table():
                 assert _basis_product(tuple(b), tuple(a)) == expected, (b, a)
 
 
+def test_both_orders_of_a_pair_share_one_cached_product():
+    a, b = B((3, 2, 1), 6), B((4, 1, 1), 6)
+    _basis_product.cache_clear()
+    assert schur_mul(a, b) == schur_mul(b, a)
+    assert leading_term_check((8, 1), (7, 2), 9, 4) == leading_term_check((7, 2), (8, 1), 9, 4) | {
+        "kappa1": [8, 1], "kappa2": [7, 2], "degrees": [1, 2]}
+    info = _basis_product.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+
+
 def row_fills(total, bounds):
     """Weak compositions of `total` with entry j bounded by bounds[j], one
     column at a time, in ascending lexicographic order."""
