@@ -1043,7 +1043,7 @@ def lambda_general(s: GSet, i: int) -> BurnsideElement:
     lam = [one]
     where = f"of {s.label} (size {s.size})"
     for m in range(1, i + 1):
-        lam.append(recursion_step(m, s.size, lam.__getitem__, sig.__getitem__, where))
+        lam.append(recursion_step(m, s.size, lambda j, k: lam[j] * sig[k], where))
     return lam[i]
 
 

@@ -8,7 +8,9 @@ arithmetic (`Combination`) and the paper's two routes to λ^i(S),
 - the closed signed sum λ^i(S) = Σ_{mu ⊢ i} (-1)^(i + len mu) ·
   multinomial(mu) · [P_mu(S)] (`closed_terms`).
 
-Each model supplies its basis product, σ^k and [P_mu(S)].
+Each model supplies the recursion's products λ^j·σ^k (the engine
+multiplies in its basis; the Schur side uses reciprocity), σ^k and
+[P_mu(S)].
 """
 
 from __future__ import annotations
@@ -110,19 +112,20 @@ def closed_terms(i: int):
         yield mu, -c if (i + len(mu)) % 2 else c
 
 
-def recursion_step(i: int, size: int, lam, sig, where: str) -> Combination:
-    """λ^i, i >= 1, by the recursion, from lam(j) = λ^j (j < i) and
-    sig(k) = σ^k.  The caller has checked that λ^j vanishes for size < j < i,
-    so only j <= size is summed: O(size) products for any i.  λ^i must
-    vanish above size too; that is a theorem, so a nonzero value raises
-    TheoremViolation naming the power and `where` it was computed."""
+def recursion_step(i: int, size: int, product, where: str) -> Combination:
+    """λ^i, i >= 1, by the recursion, from product(j, k) = λ^j·σ^k (j < i,
+    j + k = i); how the product is formed is the model's own.  The caller
+    has checked that λ^j vanishes for size < j < i, so only j <= size is
+    summed: O(size) products for any i.  λ^i must vanish above size too;
+    that is a theorem, so a nonzero value raises TheoremViolation naming
+    the power and `where` it was computed."""
     out: dict = {}
     for j in range(min(i, size + 1)):
         sign = 1 if (i - j) % 2 else -1
-        for key, c in (lam(j) * sig(i - j)).coeffs.items():
+        term = product(j, i - j)
+        for key, c in term.coeffs.items():
             out[key] = out.get(key, 0) + sign * c
-    one = lam(0)
-    value = one._trusted(one.base, out)
+    value = term._trusted(term.base, out)
     if i > size and not value.is_zero():
         raise TheoremViolation(f"lambda^{i} {where} must vanish, got {value.render()}")
     return value

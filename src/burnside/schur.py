@@ -45,6 +45,36 @@ small:
   only a pair with both that long is refused with RecursionError, before
   any matrix is counted (see `_basis_product`).
 
+The λ recursion counts no table.  Its products λ^j([n])·σ^k([n]) expand
+σ^k([n]) = sum b_nu [P_nu] and multiply each [P_nu] by λ^j([n]) through
+Frobenius reciprocity (`_lambda_times`):
+
+    [P_nu]·λ^j([n]) = sum over j_1 + ... + j_l = j with j_r <= nu_r of
+                      [P_sort(kappa_1 ∪ ... ∪ kappa_l)] · prod_r c_r(kappa_r),
+
+where c_r(kappa_r) runs over the terms of λ^(j_r)([nu_r]) at ambient nu_r.
+Four steps prove it:
+
+1. P_nu = S_n/S_nu for the Young subgroup S_nu, and [G/H]·X =
+   Ind_H^G Res_H X in the Burnside ring.
+2. Restriction to S_nu is a ring map that commutes with every σ^k, so by
+   the recursion it commutes with every λ^j.
+3. Restricted to S_nu, [n] is the disjoint union of the blocks [nu_r],
+   and λ_t of a disjoint union is the product of the λ_t's (σ_t is, and
+   λ_t·σ_{-t} = 1), so λ^j([n]) restricts to the sum of the external
+   products of the λ^(j_r)([nu_r]) with j_1 + ... + j_l = j.
+4. The external product of the S_(nu_r)/S_(kappa_r) is S_nu/prod_r
+   S_(kappa_r), and inducing it to S_n gives P_sort(kappa_1 ∪ ... ∪
+   kappa_l): inducing concatenates the keys.
+
+A term with j_r > nu_r is zero, since λ^(j_r)([nu_r]) vanishes, so only
+j_r <= nu_r is summed and no smaller ambient runs its vanishing checks.
+Every nu other than (n) has all its parts below n, and [P_(n)] is the
+unit, whose product is λ^j([n]) itself (j < i).  So the recursion at n
+reads σ at n and λ at the smaller ambients, and no contingency table.
+The tables still give `schur_mul`, hence `*`, `mul` and
+`leading_term_check`.
+
 The public constructor `SchurElement(n, coeffs)` reads n through
 `operator.index`, checks n >= 1 and hands the rest to
 `ring.Combination`'s one checked constructor, which passes every key
@@ -60,7 +90,8 @@ refusal of every attribute set and delete lives in
 
 The additive arithmetic of elements, the λ recursion and the closed signed
 sum are shared with the engine in `ring.py`; this module gives the
-product, σ and the padding of the closed sum's keys to ambient n.
+product, the recursion's products by reciprocity, σ and the padding of
+the closed sum's keys to ambient n.
 """
 
 from __future__ import annotations
@@ -302,11 +333,40 @@ def sigma(i: int, n: int) -> SchurElement:
     return SchurElement._trusted(n, counts)
 
 
+@lru_cache(maxsize=None)
+def _lambda_times(parts: tuple, j: int) -> dict:
+    """[P_parts]·λ^j([n]) as {key: count}, for a partition `parts` of n
+    and j <= n, by reciprocity (see the module docstring): j is split as
+    j_1 + ... + j_l with j_r <= parts[r], and the terms of
+    λ^(j_r)([parts[r]]), read from `recursive_lambda` at the smaller
+    ambients, are concatenated.  The recursion runs over the parts, one
+    level per part, with the remaining parts and the remaining power as
+    the cached state; a single part is λ^j at that ambient itself."""
+    first, rest = parts[0], parts[1:]
+    if not rest:
+        return recursive_lambda(j, first).coeffs
+    room = sum(rest)
+    out: dict[Partition, int] = {}
+    for head in range(max(0, j - room), min(j, first) + 1):
+        tail = _lambda_times(rest, j - head)
+        for kappa, c in recursive_lambda(head, first).coeffs.items():
+            for eta, d in tail.items():
+                key = Partition._trusted(sorted(kappa + eta, reverse=True))
+                out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
 @lru_cache(maxsize=None, typed=True)
 def recursive_lambda(i: int, n: int) -> SchurElement:
     """The i-th exterior-power class of {1..n}, computed by the defining
     recursion -(-1)^i l_i = sum_{j<i} (-1)^j l_j s_{i-j} of the structure
     opposite to the symmetric powers (`ring.recursion_step`).
+
+    The recursion rests on σ at n and on λ at the smaller ambients: each
+    product l_j s_k expands s_k = sum b_nu [P_nu] and multiplies every
+    [P_nu] by l_j through reciprocity (`_lambda_times`), so no contingency
+    table is counted.  The closed sum uses neither σ nor a product, so
+    `lambda --method both` still compares two independent routes.
 
     For i > n the recursion must collapse to zero; that is a theorem, so it
     is checked rather than assumed: every l_j with n < j <= i is computed,
@@ -315,12 +375,20 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
-    # sigma is looked up at call time, so a replaced sigma is what is checked
-    lam, sig, where = (lambda j: recursive_lambda(j, n)), (lambda k: sigma(k, n)), f"at n={n}"
+
+    def product(j, k):
+        # sigma is looked up at call time, so a replaced sigma is what is checked
+        out: dict[Partition, int] = {}
+        for nu, b in sigma(k, n).coeffs.items():
+            for key, c in _lambda_times(nu, j).items():
+                out[key] = out.get(key, 0) + b * c
+        return SchurElement._trusted(n, out)
+
+    where = f"at n={n}"
     if i <= n:
-        return recursion_step(i, n, lam, sig, where)
+        return recursion_step(i, n, product, where)
     for j in range(_vanished.get(n, n) + 1, i + 1):
-        recursion_step(j, n, lam, sig, where)
+        recursion_step(j, n, product, where)
         _vanished[n] = j
     return SchurElement.zero(n)
 

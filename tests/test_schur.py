@@ -298,6 +298,48 @@ def test_permutation_matrices_are_counted_not_enumerated():
     assert schur_mul(ones, ones) == factorial(12) * ones
 
 
+def test_reciprocity_kernel_equals_the_table_product():
+    # [P_nu]·λ^j([n]) by reciprocity against the contingency-table product
+    for n in range(1, 10):
+        for nu in enumerate_partitions(n):
+            for j in range(n + 1):
+                table = schur_mul(B(nu, n), closed_lambda(j, n))
+                assert schur._lambda_times(tuple(nu), j) == table.coeffs, (nu, j)
+
+
+def test_reciprocity_kernel_equals_the_table_product_on_tall_sigma():
+    # λ^j·σ^k summed over the keys of σ^k, for powers far above n
+    for n in range(1, 4):
+        for k in range(1, 61):
+            tall = sigma(k, n)
+            for j in range(n + 1):
+                out = Counter()
+                for nu, b in tall.coeffs.items():
+                    for key, c in schur._lambda_times(nu, j).items():
+                        out[key] += b * c
+                assert SchurElement(n, out) == schur_mul(closed_lambda(j, n), tall), (n, k, j)
+
+
+def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
+    # a sigma wrong only at n = 2 reaches the recursion at n = 4 through
+    # the λ at n = 2 that reciprocity reads
+    real_sigma = schur.sigma
+
+    def wrong_sigma(i, n):
+        value = real_sigma(i, n)
+        return value + SchurElement.one(n) if (i, n) == (2, 2) else value
+
+    burnside.clear_caches()
+    monkeypatch.setattr(schur, "sigma", wrong_sigma)
+    try:
+        wrong = {i: recursive_lambda(i, 4) for i in range(1, 5)}
+    finally:
+        monkeypatch.undo()
+        burnside.clear_caches()
+    assert any(wrong[i] != closed_lambda(i, 4) for i in wrong)
+    assert all(recursive_lambda(i, 4) == closed_lambda(i, 4) for i in wrong)
+
+
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
               schur._tables, schur._first_row, schur._class_fills, schur._points,
@@ -327,6 +369,11 @@ def test_clear_caches_finds_a_cache_where_it_is_declared(monkeypatch):
     assert fresh.cache_info().currsize == 1
     burnside.clear_caches()
     assert fresh.cache_info().currsize == 0
+    # the recursion's reciprocity kernel is found the same way
+    recursive_lambda(5, 5)
+    assert schur._lambda_times.cache_info().currsize
+    burnside.clear_caches()
+    assert schur._lambda_times.cache_info().currsize == 0
 
 
 NON_INTEGER_SIZES = [
