@@ -45,6 +45,19 @@ small:
   only a pair with both that long is refused with RecursionError, before
   any matrix is counted (see `_basis_product`).
 
+Inside both kernels a multiset of parts kappa is keyed by its code, the
+integer prod_r p_(kappa_r), where p_m is the m-th prime (`_encode`).
+Every integer >= 1 factors into primes in exactly one way, so the code
+is a bijection from the finite multisets of positive parts onto the
+positive integers, and the code of a union of multisets is the product of
+their codes: joining two keys is one multiplication of ints, where a
+tuple key needs a sort and a new tuple.  `_tables` keys the tables by
+the code of their entries, and `_basis_product` decodes each key once
+into a `Partition` (`_decode`); the recursion (`_lambda_codes`,
+`_lambda_times`) keys its values by codes, and `recursive_lambda`
+decodes its answer once.  So every public value keeps its `Partition`
+keys.
+
 The λ recursion counts no table.  Its products λ^j([n])·σ^k([n]) expand
 σ^k([n]) = sum b_nu [P_nu] and multiply each [P_nu] by λ^j([n]) through
 Frobenius reciprocity (`_lambda_times`):
@@ -73,7 +86,10 @@ Every nu other than (n) has all its parts below n, and [P_(n)] is the
 unit, whose product is λ^j([n]) itself (j < i).  So the recursion at n
 reads σ at n and λ at the smaller ambients, and no contingency table.
 The tables still give `schur_mul`, hence `*`, `mul` and
-`leading_term_check`.
+`leading_term_check`.  The recursion's values and products are
+combinations over code keys (`_Coded`), so `ring.recursion_step` sums
+and checks them as it does any model's, and its message for a power that
+fails to vanish decodes them.
 
 The public constructor `SchurElement(n, coeffs)` reads n through
 `operator.index`, checks n >= 1 and hands the rest to
@@ -90,8 +106,8 @@ refusal of every attribute set and delete lives in
 
 The additive arithmetic of elements, the λ recursion and the closed signed
 sum are shared with the engine in `ring.py`; this module gives the
-product, the recursion's products by reciprocity, σ and the padding of
-the closed sum's keys to ambient n.
+product, the recursion's products by reciprocity, the codes of their
+keys, σ and the padding of the closed sum's keys to ambient n.
 """
 
 from __future__ import annotations
@@ -100,9 +116,11 @@ import operator
 import sys
 from functools import lru_cache
 from itertools import groupby
-from math import comb
+from math import comb, isqrt, log, prod
 
-from .partitions import Partition, _points, alpha, enumerate_partitions, pad
+from .partitions import (
+    Partition, TheoremViolation, _points, alpha, enumerate_partitions, pad,
+)
 from .ring import Combination, closed_terms, recursion_step
 
 
@@ -179,6 +197,54 @@ def basis_element(mu, n: int) -> SchurElement:
     return SchurElement(n, {pad(mu, n): 1})
 
 
+# _PRIMES[m] is the m-th prime, the factor that codes a part m; index 0
+# holds 1 and is never read.  `_encode` extends the table on demand.
+_PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+def _tabulate_primes(top: int) -> None:
+    """Extend `_PRIMES` to at least its top-th prime and at least twice
+    its length, by a sieve up to Rosser's bound p_m < m(ln m + ln ln m),
+    which holds for m >= 6."""
+    m = max(top, 2 * (len(_PRIMES) - 1))
+    bound = int(m * (log(m) + log(log(m)))) + 1
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    _PRIMES[1:] = [p for p in range(bound + 1) if sieve[p]]
+
+
+def _encode(parts) -> int:
+    """The code of a multiset of positive parts: the product of the
+    parts[r]-th primes, 1 for no parts."""
+    if parts and max(parts) >= len(_PRIMES):
+        _tabulate_primes(max(parts))
+    return prod(map(_PRIMES.__getitem__, parts))
+
+
+def _decode(code: int) -> Partition:
+    """The multiset of parts whose code is `code`, as a partition.  The code
+    is divided by the tabled primes in increasing order; every code the
+    library makes factors down to 1 that way, so one that does not (below
+    1, or with a prime factor past the table) raises TheoremViolation."""
+    parts = []
+    rest = code
+    m = 1
+    while rest > 1 and m < len(_PRIMES):
+        q, r = divmod(rest, _PRIMES[m])
+        while not r:
+            parts.append(m)
+            rest = q
+            q, r = divmod(rest, _PRIMES[m])
+        m += 1
+    if rest != 1:
+        raise TheoremViolation(f"{code} is not the code of a multiset of tabled parts")
+    parts.reverse()
+    return Partition._trusted(parts)
+
+
 @lru_cache(maxsize=None)
 def _class_fills(c: int, m: int, amount: int) -> tuple:
     """The ways one row puts `amount` into m columns of capacity c, one
@@ -234,19 +300,21 @@ def _first_row(total: int, cols: tuple) -> dict:
 def _tables(rows: tuple, cols: tuple) -> dict:
     """Count the nonnegative integer matrices with row sums `rows` and column
     sums `cols` (a sorted tuple of positive capacities) by the multiset of
-    their nonzero entries: {entries sorted descending: number of matrices}.
+    their nonzero entries: {code of the entries: number of matrices}.
 
     The first row's grouped fills (`_first_row`) each multiply the cached
     counts of the remaining rows over the capacities they leave, so every
-    matrix is counted exactly once.
+    matrix is counted exactly once, and the row's entries join the rest's
+    by one multiplication of their codes.
     """
     if not rows:
-        return {(): 1}
-    out: dict[tuple, int] = {}
+        return {1: 1}
+    out: dict[int, int] = {}
     for (left, entries), ways in _first_row(rows[0], cols).items():
+        head = _encode(entries)
         for tail, count in _tables(rows[1:], left).items():
-            gamma = tuple(sorted(entries + tail, reverse=True))
-            out[gamma] = out.get(gamma, 0) + ways * count
+            key = head * tail
+            out[key] = out.get(key, 0) + ways * count
     return out
 
 
@@ -287,8 +355,8 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
                 f"{len(nu)} and {len(mu)} parts both pass half the recursion limit")
         mu, nu = nu, mu
     return {
-        Partition._trusted(gamma): count
-        for gamma, count in _tables(tuple(mu), tuple(sorted(nu))).items()
+        _decode(code): count
+        for code, count in _tables(tuple(mu), tuple(sorted(nu))).items()
     }
 
 
@@ -316,44 +384,105 @@ def _check_power(i: int, n: int) -> tuple[int, int]:
     return i, n
 
 
+@lru_cache(maxsize=None)
+def _profiles(i: int, max_parts: int) -> dict:
+    """{multiplicity profile, sorted descending: number of partitions of i
+    with at most `max_parts` parts that have it}."""
+    counts: dict[tuple, int] = {}
+    for mu in enumerate_partitions(i, max_parts=max_parts):
+        key = tuple(sorted(alpha(mu), reverse=True))
+        counts[key] = counts.get(key, 0) + 1
+    return {Partition._trusted(key): c for key, c in counts.items()}
+
+
 @lru_cache(maxsize=None, typed=True)
 def sigma(i: int, n: int) -> SchurElement:
     """The class of the i-th symmetric power of {1..n}.
 
     Equals the sum over partitions mu of i with at most n parts of the basis
-    class of the multiplicity profile of mu (sorted into a partition).
+    class of the multiplicity profile of mu (sorted into a partition and
+    padded to n).  No partition of i has more than i parts, so the profile
+    counts (`_profiles`) are read at min(i, n) parts: every n >= i shares
+    one enumeration of the partitions of i, and a tall n < i enumerates
+    those with at most n parts.
     """
     i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
     counts: dict[Partition, int] = {}
-    for mu in enumerate_partitions(i, max_parts=n):
-        key = pad(Partition._trusted(sorted(alpha(mu), reverse=True)), n)
-        counts[key] = counts.get(key, 0) + 1
+    for profile, c in _profiles(i, min(i, n)).items():
+        key = pad(profile, n)
+        counts[key] = counts.get(key, 0) + c
     return SchurElement._trusted(n, counts)
+
+
+class _Coded(Combination):
+    """A combination over the ambient n whose keys are the codes of
+    partitions of n: the recursion's values and products.  Only its
+    rendering decodes, for the message of a power that fails to vanish."""
+
+    __slots__ = ()
+
+    def render(self) -> str:
+        return SchurElement._trusted(
+            self.base, {_decode(code): c for code, c in self.coeffs.items()}
+        ).render()
 
 
 @lru_cache(maxsize=None)
 def _lambda_times(parts: tuple, j: int) -> dict:
-    """[P_parts]·λ^j([n]) as {key: count}, for a partition `parts` of n
+    """[P_parts]·λ^j([n]) as {code: count}, for a partition `parts` of n
     and j <= n, by reciprocity (see the module docstring): j is split as
     j_1 + ... + j_l with j_r <= parts[r], and the terms of
-    λ^(j_r)([parts[r]]), read from `recursive_lambda` at the smaller
-    ambients, are concatenated.  The recursion runs over the parts, one
-    level per part, with the remaining parts and the remaining power as
-    the cached state; a single part is λ^j at that ambient itself."""
+    λ^(j_r)([parts[r]]), read from `_lambda_codes` at the smaller
+    ambients, are concatenated by multiplying their codes.  The recursion
+    runs over the parts, one level per part, with the remaining parts and
+    the remaining power as the cached state; a single part is λ^j at that
+    ambient itself."""
     first, rest = parts[0], parts[1:]
     if not rest:
-        return recursive_lambda(j, first).coeffs
+        return _lambda_codes(j, first)
     room = sum(rest)
-    out: dict[Partition, int] = {}
+    out: dict[int, int] = {}
     for head in range(max(0, j - room), min(j, first) + 1):
-        tail = _lambda_times(rest, j - head)
-        for kappa, c in recursive_lambda(head, first).coeffs.items():
-            for eta, d in tail.items():
-                key = Partition._trusted(sorted(kappa + eta, reverse=True))
+        tail = _lambda_times(rest, j - head).items()
+        for kappa, c in _lambda_codes(head, first).items():
+            for eta, d in tail:
+                key = kappa * eta
                 out[key] = out.get(key, 0) + c * d
     return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _lambda_codes(i: int, n: int) -> dict:
+    """λ^i([n]) by the recursion (`ring.recursion_step`) as {code:
+    coefficient}, for checked ints i >= 0 and n >= 1; for i > n it checks
+    that every l_j with n < j <= i vanishes, in increasing j, and is
+    empty.  Each product l_j s_k expands s_k = sum b_nu [P_nu] and
+    multiplies every [P_nu] by l_j through reciprocity (`_lambda_times`)."""
+    if i == 0:
+        return {_encode((n,)): 1}
+
+    def product(j, k):
+        # sigma is looked up at call time, so a replaced sigma is what is checked
+        out: dict[int, int] = {}
+        for nu, b in sigma(k, n).coeffs.items():
+            for code, c in _lambda_times(nu, j).items():
+                out[code] = out.get(code, 0) + b * c
+        return _Coded._trusted(n, out)
+
+    where = f"at n={n}"
+    if i <= n:
+        return recursion_step(i, n, product, where).coeffs
+    for j in range(_vanished.get(n, n) + 1, i + 1):
+        recursion_step(j, n, product, where)
+        _vanished[n] = j
+    return {}
+
+
+# n -> the largest i such that l_{n+1}, ..., l_i at ambient n have been
+# computed and checked to vanish; _lambda_codes starts above it
+_vanished: dict[int, int] = {}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -366,7 +495,9 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     product l_j s_k expands s_k = sum b_nu [P_nu] and multiplies every
     [P_nu] by l_j through reciprocity (`_lambda_times`), so no contingency
     table is counted.  The closed sum uses neither σ nor a product, so
-    `lambda --method both` still compares two independent routes.
+    `lambda --method both` still compares two independent routes.  The
+    recursion (`_lambda_codes`) keys every value by the code of its
+    partition, and only this answer is decoded.
 
     For i > n the recursion must collapse to zero; that is a theorem, so it
     is checked rather than assumed: every l_j with n < j <= i is computed,
@@ -375,27 +506,9 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     i, n = _check_power(i, n)
     if i == 0:
         return SchurElement.one(n)
-
-    def product(j, k):
-        # sigma is looked up at call time, so a replaced sigma is what is checked
-        out: dict[Partition, int] = {}
-        for nu, b in sigma(k, n).coeffs.items():
-            for key, c in _lambda_times(nu, j).items():
-                out[key] = out.get(key, 0) + b * c
-        return SchurElement._trusted(n, out)
-
-    where = f"at n={n}"
-    if i <= n:
-        return recursion_step(i, n, product, where)
-    for j in range(_vanished.get(n, n) + 1, i + 1):
-        recursion_step(j, n, product, where)
-        _vanished[n] = j
-    return SchurElement.zero(n)
-
-
-# n -> the largest i such that l_{n+1}, ..., l_i at ambient n have been
-# computed and checked to vanish; recursive_lambda starts above it
-_vanished: dict[int, int] = {}
+    return SchurElement._trusted(
+        n, {_decode(code): c for code, c in _lambda_codes(i, n).items()}
+    )
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -304,7 +304,8 @@ def test_reciprocity_kernel_equals_the_table_product():
         for nu in enumerate_partitions(n):
             for j in range(n + 1):
                 table = schur_mul(B(nu, n), closed_lambda(j, n))
-                assert schur._lambda_times(tuple(nu), j) == table.coeffs, (nu, j)
+                coded = schur._lambda_times(tuple(nu), j)
+                assert {schur._decode(code): c for code, c in coded.items()} == table.coeffs, (nu, j)
 
 
 def test_reciprocity_kernel_equals_the_table_product_on_tall_sigma():
@@ -315,9 +316,55 @@ def test_reciprocity_kernel_equals_the_table_product_on_tall_sigma():
             for j in range(n + 1):
                 out = Counter()
                 for nu, b in tall.coeffs.items():
-                    for key, c in schur._lambda_times(nu, j).items():
-                        out[key] += b * c
+                    for code, c in schur._lambda_times(nu, j).items():
+                        out[schur._decode(code)] += b * c
                 assert SchurElement(n, out) == schur_mul(closed_lambda(j, n), tall), (n, k, j)
+
+
+def test_codes_join_multisets_by_one_multiplication():
+    # parts run past the primes tabled when the test starts, so the table grows
+    top = 2 * len(schur._PRIMES)
+    rng = random.Random(24)
+    for _ in range(400):
+        a = [rng.randint(1, top) for _ in range(rng.randint(0, 6))]
+        b = [rng.randint(1, rng.choice((3, top))) for _ in range(rng.randint(0, 40))]
+        joined = schur._decode(schur._encode(a) * schur._encode(b))
+        assert joined == Partition(sorted(a + b, reverse=True)), (a, b)
+        assert type(joined) is Partition
+    # a code that does not factor down to 1 over the tabled primes is refused
+    beyond = schur._PRIMES[-1] + 1
+    while any(beyond % p == 0 for p in schur._PRIMES[1:]):
+        beyond += 1
+    for code in (0, -6, beyond, beyond * schur._encode((3, 1, 1))):
+        with pytest.raises(burnside.TheoremViolation, match="not the code"):
+            schur._decode(code)
+
+
+def sigma_reference(i, n):
+    """σ^i([n]) from a local enumeration: an i-multiset of {1..n} up to S_n
+    is a partition of i with at most n parts, and its stabilizer groups the
+    points by multiplicity, the n - len(mu) unused points included."""
+    def parts(rest, top, room):
+        if rest == 0:
+            yield ()
+        elif room:
+            for p in range(min(rest, top), 0, -1):
+                for tail in parts(rest - p, p, room - 1):
+                    yield (p,) + tail
+
+    counts = Counter()
+    for mu in parts(i, i, n):
+        blocks = list(Counter(mu).values()) + ([n - len(mu)] if len(mu) < n else [])
+        counts[tuple(sorted(blocks, reverse=True))] += 1
+    return SchurElement(n, counts)
+
+
+def test_sigma_equals_an_enumeration_reference():
+    # n >= i shares one profile count; a tall n < i enumerates at most n parts
+    cases = [(i, n) for i in range(17) for n in range(1, 19)]
+    cases += [(i, n) for i in range(17, 61) for n in range(1, 5)]
+    for i, n in cases:
+        assert sigma(i, n) == sigma_reference(i, n), (i, n)
 
 
 def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
@@ -374,6 +421,13 @@ def test_clear_caches_finds_a_cache_where_it_is_declared(monkeypatch):
     assert schur._lambda_times.cache_info().currsize
     burnside.clear_caches()
     assert schur._lambda_times.cache_info().currsize == 0
+    # and so are the coded recursion and the profile counts under sigma
+    recursive_lambda(5, 5)
+    assert schur._lambda_codes.cache_info().currsize
+    assert schur._profiles.cache_info().currsize
+    burnside.clear_caches()
+    assert schur._lambda_codes.cache_info().currsize == 0
+    assert schur._profiles.cache_info().currsize == 0
 
 
 NON_INTEGER_SIZES = [
