@@ -14,20 +14,28 @@ index, its position in the sorted element tuple, found from its image
 tuple through one dictionary.  Per generator s the group tabulates, once,
 the index of s·g (left multiples) and of s·g·s⁻¹ (conjugation) for every
 element g, so conjugacy classes of subgroups are orbits of frozensets of
-element indices.  A G-set's action is given once, as rows: row k lists the
-image index of every point under the element with index k.  Every
-construction computes its rows from its parents' rows by index
-arithmetic:
+element indices.  A right factor h is held as the itemgetter of its
+zero-based images (`_getter`), which builds the image tuple of g·h from
+g's in C; the products of one element with a list of right factors are
+one `map` of those getters and one of the index lookups
+(`PermGroup._products`), and the closure multiplies its frontier the same
+way.  A G-set's action is given once, as rows: row k lists the image
+index of every point under the element with index k.  Every construction
+computes its rows from its parents' rows by index arithmetic; the
+verified ones take a fixed number of C-level `map` passes per element,
+not a Python step per point:
 
 - a natural set reads each permutation's images;
-- a symmetric power maps, sorts and looks up each point;
-- a block-tuple set moves each distinct block once per element and looks
-  up each point by its moved blocks;
-- a coset space reads g·rep's index once per (element, coset), from the
-  image tuple g(rep(x)) = images_g[rep0[x]], where rep0 is the zero-based
-  image tuple of the coset's representative, computed once;
-- an induced set reads g·rep's index the same way once per (element,
-  transversal element) and shifts the subgroup set's row;
+- a symmetric power and a block-tuple set code each point by a product
+  of primes, one per (coordinate, label) pair (`_coded_rule`): an
+  element's row maps the parent's row once per label through that
+  label's primes, multiplies the columns and looks the products up among
+  the points' codes;
+- a coset space reads the index of g·rep for every representative rep
+  through the products, and maps it to its coset;
+- an induced set does the same for the transversal, and chains the
+  parent's rows, each shifted to its coset's block once per group
+  element;
 - unions, products and restrictions shift, combine or reindex their
   parents' rows.
 
@@ -38,7 +46,7 @@ Every G-set reads its action through one rule, a `Rows`.  Verified G-sets
 (natural sets, symmetric powers, block tuples, coset spaces, induced sets
 and every set built from a caller's action) evaluate the row of every
 element once, |G|·|X| entries, and the stored rows become their rule, so
-every later application is a list lookup.  Verification checks that every
+every later row or single image is a list lookup.  Verification checks that every
 row has one entry per point and every entry indexes a point, that the
 identity's row fixes every point, and that T_{s·g} = T_s ∘ T_g for every
 generator s and every element g.  Products, disjoint unions and
@@ -47,9 +55,9 @@ verified parents: once their size is checked by arithmetic they are built
 through the plain `GSet` constructor, and stay lazy: a row is computed
 from the parents' rows when asked for.  Storing the rows of a product of
 coset spaces would take |G|·|X|·|Y| entries to answer a few orbit and
-stabilizer queries, so a product alone also computes a single image from
-its factors' images.  Products of validated permutations skip the
-bijection check, which only outside input needs.
+stabilizer queries, so a product and a disjoint union also compute a
+single image from their parts' images.  Products of validated
+permutations skip the bijection check, which only outside input needs.
 
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
@@ -79,7 +87,7 @@ from math import factorial
 from . import partitions
 from .partitions import (CapExceeded, GroupFileError, Immutable, Partition, _points,
                          enumerate_partitions, pad)
-from .ring import Combination, closed_terms, recursion_step
+from .ring import Combination, _primes, closed_terms, recursion_step
 
 
 def _check_points(count: int, label: str, order: int | None = None) -> None:
@@ -356,8 +364,11 @@ class PermGroup:
     def left_multiples(self) -> list[tuple[int, list[int]]]:
         """For each generator s, its element index and the index of s·g for
         every element g in order; |generators|·|G| lookups, made once."""
-        all0 = [_zero_based(g) for g in self.elements]
-        return [(self._by_images[s.images], self._products(s, all0)) for s in self.generators()]
+        getters = [_getter(g) for g in self.elements]
+        return [
+            (self._by_images[s.images], list(self._products(s, getters)))
+            for s in self.generators()
+        ]
 
     @cached_property
     def conjugations(self) -> list[list[int]]:
@@ -423,12 +434,13 @@ class PermGroup:
             return False
         return self._canonical_key(frozenset(key)) == key
 
-    def _products(self, g: Permutation, rights0) -> list[int]:
-        """The index of g·h for each h, given as its `_zero_based` images:
-        g·h sends x to g(h(x)), which is g's image tuple read at h's
-        zero-based images."""
-        g_of, by_images = g.images.__getitem__, self._by_images
-        return [by_images[tuple(map(g_of, h0))] for h0 in rights0]
+    def _products(self, g: Permutation, getters):
+        """The index of g·h for each h, given as its `_getter`, in order, as
+        an iterator: g·h sends x to g(h(x)), so its image tuple is g's
+        image tuple read at h's zero-based images, which h's getter builds
+        in C."""
+        call = operator.methodcaller("__call__", g.images)
+        return map(self._by_images.__getitem__, map(call, getters))
 
     def _left_cosets(self, members) -> tuple[list[tuple[int, int]], list]:
         """Split the group into the left cosets g·H of the subgroup H with
@@ -438,7 +450,7 @@ class PermGroup:
         recorded as the pair (j, k).  Returns the pair of every element
         index, and the transversal."""
         products = self._products
-        members0 = [_zero_based(m) for m in members]
+        getters = [_getter(m) for m in members]
         split: list = [None] * self.order
         reps = []
         for gi, g in enumerate(self.elements):
@@ -446,7 +458,7 @@ class PermGroup:
                 continue
             j = len(reps)
             reps.append(g)
-            for k, x in enumerate(products(g, members0)):
+            for k, x in enumerate(products(g, getters)):
                 split[x] = (j, k)
         return split, reps
 
@@ -466,10 +478,10 @@ class PermGroup:
         for x, j in enumerate(coset_of):
             cosets[j].append(x)
         points = [frozenset(coset) for coset in cosets]
-        reps0 = [_zero_based(g) for g in reps]
+        getters = [_getter(g) for g in reps]
 
         def row(gset, k):
-            return [coset_of[x] for x in products(elements[k], reps0)]
+            return list(map(coset_of.__getitem__, products(elements[k], getters)))
 
         gset = GSet.from_point_action(
             self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
@@ -515,11 +527,15 @@ class PermGroup:
         return self.order == factorial(self.degree)
 
 
-def _zero_based(g: Permutation) -> tuple[int, ...]:
-    """g's images as zero-based positions, for reading another element's
-    image tuple at them: h.images[x] for x in _zero_based(g) are the images
-    of h·g."""
-    return tuple([p - 1 for p in g.images])
+def _getter(g: Permutation) -> operator.itemgetter:
+    """g as a right factor: the getter of g's zero-based images, which reads
+    another element's image tuple at them, so that _getter(g)(h.images) is
+    the image tuple of h·g.  An itemgetter of one index returns a scalar,
+    and the one permutation of degree 1 is the identity, so at degree 1 the
+    getter copies the whole tuple."""
+    if g.degree < 2:
+        return operator.itemgetter(slice(None))
+    return operator.itemgetter(*[p - 1 for p in g.images])
 
 
 def _sweep(elements, identity: Permutation) -> tuple[list[Permutation], set]:
@@ -539,15 +555,13 @@ def _closure(seed: set, gens, cap: int | None = None, error: CapExceeded | None 
     """The image tuples of the elements generated from the image tuples in
     seed by right multiplication with the generators; once the set would
     pass the cap, the given error."""
-    gens0 = [_zero_based(s) for s in gens]
+    getters = [_getter(s) for s in gens]
     out = set(seed)
     frontier = list(seed)
     while frontier:
         nxt = []
-        for cur in frontier:
-            cur_of = cur.__getitem__
-            for s0 in gens0:
-                new = tuple(map(cur_of, s0))
+        for get in getters:
+            for new in map(get, frontier):
                 if new not in out:
                     if cap is not None and len(out) >= cap:
                         raise error
@@ -634,9 +648,10 @@ class Rows:
 
     ``row(gset, k)`` returns the image index of every point of gset, in
     point order, under the group element with index k.  ``image(gset, k,
-    idx)`` returns one entry of that row, by default read from the row.  A
-    product gives its own, so that a stabilizer sweep costs one index
-    computation per element instead of a row of |X|·|Y| entries.
+    idx)`` returns one entry of that row, by default read from the row.
+    Stored rows, products and disjoint unions give their own, so that a
+    stabilizer sweep costs one index computation per element instead of a
+    whole row.
     """
 
     __slots__ = ("row", "image")
@@ -773,7 +788,7 @@ class GSet:
                         f"action axiom fails in {self.label}: ({elements[si]})*({g}) on "
                         f"{points[k]!r}: {points[tsg[k]]!r} != {points[ts[tg[k]]]!r}"
                     )
-        self._rule = Rows(lambda gset, k: tables[k])
+        self._rule = Rows(lambda gset, k: tables[k], lambda gset, k, idx: tables[k][idx])
 
     def __repr__(self):
         return f"<GSet {self.label}: {self.size} points, {self.group!r}>"
@@ -785,7 +800,7 @@ def natural_gset(group: PermGroup) -> GSet:
     return GSet.from_point_action(
         group,
         range(1, group.degree + 1),
-        Rows(lambda gset, k: [p - 1 for p in elements[k].images]),
+        Rows(lambda gset, k: list(map((-1).__add__, elements[k].images))),
         label=f"natural({{1..{group.degree}}})",
     )
 
@@ -826,7 +841,48 @@ def disjoint_union(s: GSet, t: GSet) -> GSet:
     def row(gset, k):
         return s.row(k) + [ns + x for x in t.row(k)]
 
-    return GSet(s.group, points, Rows(row), label=label)
+    def image(gset, k, idx):
+        return s._image(k, idx) if idx < ns else ns + t._image(k, idx - ns)
+
+    return GSet(s.group, points, Rows(row, image), label=label)
+
+
+def _coded_rule(s: GSet, labels: tuple[int, ...], coordinates) -> Rows:
+    """The rule of a set of points over s in which coordinates(point) lists
+    the point's coordinates, point indices x of s, and coordinate c carries
+    the label labels[c], one of ℓ labels.  Each point must be fixed by the
+    multiset of its (x, label) pairs.  It is coded by the product of the
+    primes p(ℓ·x + label + 1) over its coordinates (`ring._primes`); by
+    unique factorisation the code fixes that multiset, so the point.  An
+    element's row reads s's row once per label through that label's
+    primes, multiplies the columns of coordinates together in C, and looks
+    every product up among the points' codes.  The primes, the columns
+    and the codes are made by the first row, after the caps."""
+    ell = max(labels, default=0) + 1
+    tables: list[list[int]] = []  # tables[label][x]: the prime of (x, label)
+    columns: list[tuple[int, ...]] = []  # columns[c][idx]: point idx's coordinate c
+    code_index: dict[int, int] = {}
+
+    def codes(primes_of, count):
+        """Every point's code, with primes_of[label][x] standing for the
+        prime of (x, label); 1 for a point of no coordinates."""
+        out = None
+        for label, column in zip(labels, columns):
+            factor = map(primes_of[label].__getitem__, column)
+            out = factor if out is None else map(operator.mul, out, factor)
+        return itertools.repeat(1, count) if out is None else out
+
+    def row(gset, k):
+        if not tables:
+            n = s.size
+            primes = _primes(ell * n)
+            tables.extend(primes[label + 1:ell * n + 1:ell] for label in range(ell))
+            columns.extend(zip(*map(coordinates, gset.points)))
+            code_index.update(zip(codes(tables, gset.size), itertools.count()))
+        moved = [list(map(table.__getitem__, s.row(k))) for table in tables]
+        return list(map(code_index.__getitem__, codes(moved, gset.size)))
+
+    return Rows(row)
 
 
 def symmetric_power(s: GSet, i: int) -> GSet:
@@ -835,20 +891,17 @@ def symmetric_power(s: GSet, i: int) -> GSet:
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
     points = itertools.combinations_with_replacement(range(s.size), i)
-
-    def row(gset, k):
-        get, index = s.row(k).__getitem__, gset._index
-        return [index[tuple(sorted(map(get, m)))] for m in gset.points]
-
-    return GSet.from_point_action(s.group, points, Rows(row), label=f"sym^{i}({s.label})")
+    rule = _coded_rule(s, (0,) * i, tuple)
+    return GSet.from_point_action(s.group, points, rule, label=f"sym^{i}({s.label})")
 
 
 def p_mu_gset(s: GSet, mu) -> GSet:
     """The G-set of tuples of pairwise disjoint subsets of s with block j of
     size mu_j.  Blocks are ordered (tuples, not sets of blocks); each block
     is a sorted tuple of point indices.  Empty when weight(mu) > |s|.
-    An element's row moves each distinct block once, then maps every point
-    block by block."""
+    A point's coordinates are its blocks' entries in order, each labelled
+    by its block (`_coded_rule`); the blocks are disjoint sets, so the
+    labelled entries fix the point."""
     mu = Partition(mu)
 
     def tuples(remaining, parts):
@@ -866,19 +919,9 @@ def p_mu_gset(s: GSet, mu) -> GSet:
                 yield (block,) + suffix
 
     points = tuples(list(range(s.size)), tuple(mu)) if mu.weight <= s.size else []
-    # the distinct blocks of the points kept under the cap, collected by the
-    # first row evaluated
-    blocks: list[tuple[int, ...]] = []
-
-    def row(gset, k):
-        if not blocks:
-            blocks.extend({block: None for point in gset.points for block in point})
-        get = s.row(k).__getitem__
-        moved = {block: tuple(sorted(map(get, block))) for block in blocks}.__getitem__
-        index = gset._index
-        return [index[tuple(map(moved, point))] for point in gset.points]
-
-    return GSet.from_point_action(s.group, points, Rows(row), label=_p_mu_label(mu, s))
+    labels = tuple(r for r, part in enumerate(mu) for _ in range(part))
+    rule = _coded_rule(s, labels, itertools.chain.from_iterable)
+    return GSet.from_point_action(s.group, points, rule, label=_p_mu_label(mu, s))
 
 
 def _p_mu_label(mu, s: GSet) -> str:
@@ -1135,8 +1178,11 @@ def induce(s: GSet, group: PermGroup) -> GSet:
     point) pairs, and g sends (g_i, x) to (g_j, h·x) where g·g_i = g_j·h.
     The transversal is the least element of each left coset.  The pair
     (j, x) has index j·|s| + index of x, so g's row is, for each
-    transversal index i, s's row of h shifted by j·|s|: one lookup of
-    g·g_i per (element, transversal index), and none per point."""
+    transversal index i, s's row of h shifted by j·|s|.  That shifted row
+    depends only on the element g·g_i = g_j·h, so it is made once per
+    group element, and g's row chains the shifted rows of its products
+    with the transversal: one lookup of g·g_i per (element, transversal
+    index), and none per point."""
     h = s.group
     for g in h.elements:
         if g not in group:
@@ -1148,15 +1194,15 @@ def induce(s: GSet, group: PermGroup) -> GSet:
     _check_points(len(reps) * s.size, label, group.order)
     points = ((j, p) for j in range(len(reps)) for p in s.points)
     elements, products, nx = group.elements, group._products, s.size
-    reps0 = [_zero_based(g) for g in reps]
+    getters = [_getter(g) for g in reps]
+    # shifted[gi]: where the element gi = g_j·h_k sends the pairs (0, x),
+    # s's row of h_k shifted by j·|s|
+    shifted = [list(map((j * nx).__add__, s.row(hk))) for j, hk in split]
 
     def row(gset, k):
-        out = []
-        for gi in products(elements[k], reps0):
-            j2, hk = split[gi]
-            base = j2 * nx
-            out += [base + v for v in s.row(hk)]
-        return out
+        return list(itertools.chain.from_iterable(
+            map(shifted.__getitem__, products(elements[k], getters))
+        ))
 
     return GSet.from_point_action(group, points, Rows(row), label=label)
 

@@ -11,13 +11,20 @@ arithmetic (`Combination`) and the paper's two routes to λ^i(S),
 Each model supplies the recursion's products λ^j·σ^k (the engine
 multiplies in its basis; the Schur side uses reciprocity), σ^k and
 [P_mu(S)].
+
+Both models also key finite multisets by products of primes, so they
+share one table of primes here (`_PRIMES`, extended by `_primes`): the
+Schur side codes a multiset of parts (`_encode`, `_decode`), and the
+engine a point of a symmetric power or a block-tuple set.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
+from math import isqrt, log, prod
 
-from .partitions import Immutable, TheoremViolation, enumerate_partitions, multinomial
+from .partitions import Immutable, Partition, TheoremViolation, enumerate_partitions, multinomial
 
 
 class Combination(Immutable):
@@ -129,3 +136,60 @@ def recursion_step(i: int, size: int, product, where: str) -> Combination:
     if i > size and not value.is_zero():
         raise TheoremViolation(f"lambda^{i} {where} must vanish, got {value.render()}")
     return value
+
+
+# _PRIMES[m] is the m-th prime; index 0 holds 1 and is never read.  The
+# Schur side codes a part m by it, and the engine a labelled point index
+# (`engine._coded_rule`).  `_primes` extends the table on demand, in place,
+# so every holder of the list sees one table.
+_PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+def _tabulate_primes(top: int) -> None:
+    """Extend `_PRIMES` to at least its top-th prime and at least twice
+    its length, by a sieve up to Rosser's bound p_m < m(ln m + ln ln m),
+    which holds for m >= 6."""
+    m = max(top, 2 * (len(_PRIMES) - 1))
+    bound = int(m * (log(m) + log(log(m)))) + 1
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    _PRIMES[1:] = compress(range(bound + 1), sieve)
+
+
+def _primes(top: int) -> list[int]:
+    """`_PRIMES`, first extended if it lacks its top-th prime."""
+    if top >= len(_PRIMES):
+        _tabulate_primes(top)
+    return _PRIMES
+
+
+def _encode(parts) -> int:
+    """The code of a multiset of positive parts: the product of the
+    parts[r]-th primes, 1 for no parts."""
+    if parts:
+        _primes(max(parts))
+    return prod(map(_PRIMES.__getitem__, parts))
+
+
+def _decode(code: int) -> Partition:
+    """The multiset of parts whose code is `code`, as a partition.  The code
+    is divided by the tabled primes in increasing order; every code the
+    library makes factors down to 1 that way, so one that does not (below
+    1, or with a prime factor past the table) raises TheoremViolation."""
+    parts = []
+    rest = code
+    m = 1
+    while rest > 1 and m < len(_PRIMES):
+        q, r = divmod(rest, _PRIMES[m])
+        while not r:
+            parts.append(m)
+            rest = q
+            q, r = divmod(rest, _PRIMES[m])
+        m += 1
+    if rest != 1:
+        raise TheoremViolation(f"{code} is not the code of a multiset of tabled parts")
+    parts.reverse()
+    return Partition._trusted(parts)

@@ -46,17 +46,17 @@ small:
   any matrix is counted (see `_basis_product`).
 
 Inside both kernels a multiset of parts kappa is keyed by its code, the
-integer prod_r p_(kappa_r), where p_m is the m-th prime (`_encode`).
-Every integer >= 1 factors into primes in exactly one way, so the code
-is a bijection from the finite multisets of positive parts onto the
-positive integers, and the code of a union of multisets is the product of
-their codes: joining two keys is one multiplication of ints, where a
-tuple key needs a sort and a new tuple.  `_tables` keys the tables by
-the code of their entries, and `_basis_product` decodes each key once
-into a `Partition` (`_decode`); the recursion (`_lambda_codes`,
-`_lambda_times`) keys its values by codes, and `recursive_lambda`
-decodes its answer once.  So every public value keeps its `Partition`
-keys.
+integer prod_r p_(kappa_r), where p_m is the m-th prime (`ring._encode`,
+over the prime table it shares with the engine).  Every integer >= 1
+factors into primes in exactly one way, so the code is a bijection from
+the finite multisets of positive parts onto the positive integers, and
+the code of a union of multisets is the product of their codes: joining
+two keys is one multiplication of ints, where a tuple key needs a sort
+and a new tuple.  `_tables` keys the tables by the code of their
+entries, and `_basis_product` decodes each key once into a `Partition`
+(`_decode`); the recursion (`_lambda_codes`, `_lambda_times`) keys its
+values by codes, and `recursive_lambda` decodes its answer once.  So
+every public value keeps its `Partition` keys.
 
 The λ recursion counts no table.  Its products λ^j([n])·σ^k([n]) expand
 σ^k([n]) = sum b_nu [P_nu] and multiply each [P_nu] by λ^j([n]) through
@@ -116,12 +116,13 @@ import operator
 import sys
 from functools import lru_cache
 from itertools import groupby
-from math import comb, isqrt, log, prod
+from math import comb
 
 from .partitions import (
     Partition, TheoremViolation, _points, alpha, enumerate_partitions, pad,
 )
-from .ring import Combination, closed_terms, recursion_step
+# the codes' prime table lives in ring; it stays readable as schur._PRIMES
+from .ring import _PRIMES, Combination, _decode, _encode, closed_terms, recursion_step  # noqa: F401
 
 
 class SchurElement(Combination):
@@ -195,54 +196,6 @@ def basis_element(mu, n: int) -> SchurElement:
     if mu.weight > n:
         raise ValueError(f"partition weight {mu.weight} exceeds ambient {n}")
     return SchurElement(n, {pad(mu, n): 1})
-
-
-# _PRIMES[m] is the m-th prime, the factor that codes a part m; index 0
-# holds 1 and is never read.  `_encode` extends the table on demand.
-_PRIMES = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
-
-
-def _tabulate_primes(top: int) -> None:
-    """Extend `_PRIMES` to at least its top-th prime and at least twice
-    its length, by a sieve up to Rosser's bound p_m < m(ln m + ln ln m),
-    which holds for m >= 6."""
-    m = max(top, 2 * (len(_PRIMES) - 1))
-    bound = int(m * (log(m) + log(log(m)))) + 1
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    _PRIMES[1:] = [p for p in range(bound + 1) if sieve[p]]
-
-
-def _encode(parts) -> int:
-    """The code of a multiset of positive parts: the product of the
-    parts[r]-th primes, 1 for no parts."""
-    if parts and max(parts) >= len(_PRIMES):
-        _tabulate_primes(max(parts))
-    return prod(map(_PRIMES.__getitem__, parts))
-
-
-def _decode(code: int) -> Partition:
-    """The multiset of parts whose code is `code`, as a partition.  The code
-    is divided by the tabled primes in increasing order; every code the
-    library makes factors down to 1 that way, so one that does not (below
-    1, or with a prime factor past the table) raises TheoremViolation."""
-    parts = []
-    rest = code
-    m = 1
-    while rest > 1 and m < len(_PRIMES):
-        q, r = divmod(rest, _PRIMES[m])
-        while not r:
-            parts.append(m)
-            rest = q
-            q, r = divmod(rest, _PRIMES[m])
-        m += 1
-    if rest != 1:
-        raise TheoremViolation(f"{code} is not the code of a multiset of tabled parts")
-    parts.reverse()
-    return Partition._trusted(parts)
 
 
 @lru_cache(maxsize=None)

@@ -72,6 +72,8 @@ def mark_matrices(n_max: int) -> dict:
 def leading_terms(n_max: int) -> dict:
     k = (n_max - 1) // 2
     keys = list(enumerate_partitions(n_max)) if k >= 1 else []
+    # one degree per key, not one per pair
+    degrees = [degree(a, n_max, k) for a in keys]
 
     def off_leading(a, b):
         report = leading_term_check(a, b, n_max, k)
@@ -81,8 +83,8 @@ def leading_terms(n_max: int) -> dict:
         (
             (a, b)
             for j, a in enumerate(keys)
-            for b in keys[j:]
-            if degree(a, n_max, k) + degree(b, n_max, k) <= n_max // 2
+            for b, db in zip(keys[j:], degrees[j:])
+            if degrees[j] + db <= n_max // 2
         ),
         off_leading,
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside import cli, engine, partitions
+from burnside import cli, engine, partitions, ring
 from burnside.engine import (
     BurnsideElement,
     CapExceeded,
@@ -809,6 +809,88 @@ def test_restrict_rows_along_a_projection():
     for k, g in enumerate(h.elements):
         phi = Permutation(g(p) for p in (1, 2))
         assert pulled.row(k) == small.row(symmetric_group(2).index_of(phi))
+
+
+PRODUCT_CASES = [
+    ("S4", symmetric_group(4)),
+    ("D5", dihedral_group(5)),
+    ("C4wrC2", group_closure([parse_permutation("(1 2 3 4)", 8),
+                              parse_permutation("(1 5)(2 6)(3 7)(4 8)", 8)])),
+    # an itemgetter of one index returns a scalar, not a tuple
+    ("degree-1", group_closure(parse_group_file("degree 1\n()\n")[0], degree=1)),
+    ("degree-2", group_closure([parse_permutation("(1 2)", 2)])),
+]
+
+
+@pytest.mark.parametrize("group", [c[1] for c in PRODUCT_CASES], ids=[c[0] for c in PRODUCT_CASES])
+def test_products_are_the_group_law(group):
+    elements = group.elements
+    getters = [engine._getter(h) for h in elements]
+    for g in elements:
+        assert list(group._products(g, getters)) == [group.index_of(g * h) for h in elements]
+    assert group.left_multiples == [
+        (group.index_of(s), [group.index_of(s * h) for h in elements])
+        for s in group.generators()
+    ]
+    assert engine._closure({group.identity.images}, group.generators()) == {
+        g.images for g in elements
+    }
+
+
+def test_coded_rows_match_definitions_past_the_prime_table(monkeypatch):
+    # 40 points with two labels need the 80th prime: the shared table grows
+    # while the rows are made, and the codes still fix the points
+    monkeypatch.setattr(ring, "_PRIMES", ring._PRIMES[:21])
+    group = cyclic_group(40)
+    nat = natural_gset(group)
+    square = symmetric_power(nat, 2)
+    blocks = p_mu_gset(nat, (2, 1))
+    assert len(ring._PRIMES) > 2 * nat.size
+    assert (square.size, blocks.size) == (820, 29640)
+    rotation = parse_permutation("(" + " ".join(map(str, range(1, 41))) + ")", 40)
+    # the rows of the generators and a few powers of it, against the
+    # definitions; every other row is tied to these by the action axioms
+    for g in (rotation, rotation * rotation, rotation.inverse(), group.identity):
+        expected = [square.index_of(tuple(sorted(g(x + 1) - 1 for x in m))) for m in square.points]
+        assert square.table(g) == expected
+        expected = [
+            blocks.index_of(tuple(tuple(sorted(g(x + 1) - 1 for x in b)) for b in point))
+            for point in blocks.points
+        ]
+        assert blocks.table(g) == expected
+
+
+def test_empty_powers_and_block_tuples():
+    group = symmetric_group(3)
+    nat = natural_gset(group)
+    zeroth = symmetric_power(nat, 0)
+    assert zeroth.points == ((),)
+    assert all(zeroth.row(k) == [0] for k in range(group.order))
+    assert decompose(zeroth) == BurnsideElement.one(group)
+    for mu in ((4,), (2, 2), (1, 1, 1, 1)):
+        none = p_mu_gset(nat, mu)
+        assert none.points == ()
+        assert all(none.row(k) == [] for k in range(group.order))
+        assert decompose(none).is_zero()
+    # no points at all: every power above 0 is empty too
+    empty = GSet.from_point_action(group, [], lambda g, p: p)
+    assert symmetric_power(empty, 2).size == 0
+    assert symmetric_power(empty, 0).size == 1
+
+
+def test_disjoint_union_single_image_reads_no_row():
+    group = symmetric_group(6)
+    blocks = p_mu_gset(natural_gset(group), (1, 1, 1))
+    union = disjoint_union(blocks, natural_gset(group))
+    assert decompose(union) == decompose(blocks) + decompose(natural_gset(group))
+    rows = [union.row(k) for k in range(group.order)]
+
+    def no_row(gset, k):
+        raise AssertionError("a single image built a whole row")
+
+    union._rule = engine.Rows(no_row, union._rule.image)
+    for k, row in enumerate(rows):
+        assert [union._image(k, idx) for idx in range(union.size)] == row
 
 
 def test_wrong_row_on_one_non_generator_is_rejected():
