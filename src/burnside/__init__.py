@@ -99,14 +99,18 @@ def __dir__():
 
 def clear_caches() -> None:
     """Empty the package's unbounded result caches: every cached function
-    that `partitions`, `schur` and `marks` declare (each has
+    that `partitions`, `schur`, `marks` and the engine declare (each has
     `cache_clear`), found where it is declared, and the record of the
-    powers above n that `recursive_lambda` has checked to vanish.  A
+    powers above n that `recursive_lambda` has checked to vanish.  The
+    engine's cached functions are its named groups (`symmetric_group`,
+    `cyclic_group`, `dihedral_group`, `young_subgroup`); each group keeps
+    its own tables, keys, class products and the verified G-sets built
+    over it, and these go with the group once nothing else holds it.  A
     module not loaded yet has nothing cached, so it is not loaded here.
     The caches only ever hold exact results, so clearing changes no answer;
     it frees their memory in a long-lived process, at the cost of
     recomputing on the next call."""
-    for home in ("partitions", "schur", "marks"):
+    for home in ("partitions", "schur", "marks", "engine"):
         module = sys.modules.get(f"{__name__}.{home}")
         if module is None:
             continue

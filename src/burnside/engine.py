@@ -59,6 +59,16 @@ stabilizer queries, so a product and a disjoint union also compute a
 single image from their parts' images.  Products of validated
 permutations skip the bijection check, which only outside input needs.
 
+A verified construction is kept on its parent (`_kept`): a group keeps
+its natural set and its coset spaces, a G-set its symmetric powers and
+block-tuple sets, each built and verified on first use and alive for as
+long as its parent, so every λ^i over one set shares one σ^1..σ^i.  The
+module caches no G-set itself, only the named groups (`symmetric_group`,
+...), which `burnside.clear_caches` drops.  A kept set is sized against
+the caps again on every use.  Induced sets, composites and sets from a caller's
+action are not kept: each call builds them, and verifies a caller's
+action, again.
+
 Scale is deliberately small (desk scale): group orders, point counts and
 table sizes are capped, and every cap violation raises a structured error
 naming the offending construction instead of truncating silently.  The
@@ -82,7 +92,6 @@ import itertools
 import operator
 import re
 from functools import cached_property, lru_cache
-from math import factorial
 
 from . import partitions
 from .partitions import (CapExceeded, GroupFileError, Immutable, Partition, _points,
@@ -98,6 +107,20 @@ def _check_points(count: int, label: str, order: int | None = None) -> None:
         raise CapExceeded("point-count", partitions.DEFAULT_POINT_CAP, label)
     if order is not None and order * count > partitions.TABLE_CAP:
         raise CapExceeded("table-entries", partitions.TABLE_CAP, label)
+
+
+def _keep(parent, key, build) -> GSet:
+    """The verified construction `key` over parent (a group or a G-set):
+    made by build() on first use and kept in parent's `_kept` for as long
+    as parent lives, so it is built and verified once.  A kept set is
+    sized against the caps again on every use, so a cap lowered since it
+    was built refuses it with the error a fresh build would raise."""
+    gset = parent._kept.get(key)
+    if gset is None:
+        gset = parent._kept[key] = build()
+    else:
+        _check_points(gset.size, gset.label, gset.group.order)
+    return gset
 
 
 class Permutation(Immutable):
@@ -289,7 +312,8 @@ def parse_group_file(text: str) -> tuple[list[Permutation], int]:
 class PermGroup:
     """An explicit finite permutation group: the full sorted element tuple,
     plus caches for the expensive classification queries (canonical
-    stabilizer fingerprints, coset spaces, pairwise class products).
+    stabilizer fingerprints, pairwise class products) and the verified
+    G-sets built over it (its natural set and its coset spaces, `_kept`).
 
     An element is addressed by its index in `elements`, found from its
     image tuple; the classification queries work on indices.
@@ -317,7 +341,7 @@ class PermGroup:
             raise ValueError("element set lacks the identity")
         self._gens = tuple(generators) if generators is not None else None
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
-        self._coset_cache: dict[tuple[int, ...], GSet] = {}
+        self._kept: dict = {}  # "natural" or a coset space's key -> GSet
         self._class_product_cache: dict[tuple, dict] = {}
 
     @property
@@ -466,28 +490,27 @@ class PermGroup:
         """The transitive G-set G/H for the subgroup with the given element
         indices; the canonical representative of its isomorphism class.
         Its points are the cosets as sets of element indices, in order of
-        their least elements."""
+        their least elements.  Kept on the group (`_kept`)."""
         key = tuple(key)
-        hit = self._coset_cache.get(key)
-        if hit is not None:
-            return hit
         elements, products = self.elements, self._products
-        split, reps = self._left_cosets([elements[i] for i in key])
-        coset_of = [j for j, _ in split]
-        cosets: list[list[int]] = [[] for _ in reps]
-        for x, j in enumerate(coset_of):
-            cosets[j].append(x)
-        points = [frozenset(coset) for coset in cosets]
-        getters = [_getter(g) for g in reps]
 
-        def row(gset, k):
-            return list(map(coset_of.__getitem__, products(elements[k], getters)))
+        def build():
+            split, reps = self._left_cosets([elements[i] for i in key])
+            coset_of = [j for j, _ in split]
+            cosets: list[list[int]] = [[] for _ in reps]
+            for x, j in enumerate(coset_of):
+                cosets[j].append(x)
+            points = [frozenset(coset) for coset in cosets]
+            getters = [_getter(g) for g in reps]
 
-        gset = GSet.from_point_action(
-            self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
-        )
-        self._coset_cache[key] = gset
-        return gset
+            def row(gset, k):
+                return list(map(coset_of.__getitem__, products(elements[k], getters)))
+
+            return GSet.from_point_action(
+                self, points, Rows(row), label=f"coset space G/H, |H|={len(key)}"
+            )
+
+        return _keep(self, key, build)
 
     def _block_stabilizer(self, sizes) -> list[int]:
         """Indices of the elements preserving each consecutive block of the
@@ -524,7 +547,15 @@ class PermGroup:
         return self._young_classes
 
     def is_full_symmetric(self) -> bool:
-        return self.order == factorial(self.degree)
+        """Whether the order is degree!: the order is divided by 2, 3, ...,
+        degree in turn, so degree! is never formed and a small group of a
+        large degree is told apart within a few divisions."""
+        rest = self.order
+        for k in range(2, self.degree + 1):
+            if rest % k:
+                return False
+            rest //= k
+        return rest == 1
 
 
 def _getter(g: Permutation) -> operator.itemgetter:
@@ -706,6 +737,7 @@ class GSet:
         if len(self._index) != len(self.points):
             raise ValueError(f"duplicate points in {label}")
         self._rule = act_fn if isinstance(act_fn, Rows) else _pointwise(act_fn)
+        self._kept: dict = {}  # a power i or a Partition mu -> GSet
 
     @classmethod
     def from_point_action(cls, group: PermGroup, points, act_fn, label: str = "gset") -> GSet:
@@ -795,14 +827,15 @@ class GSet:
 
 
 def natural_gset(group: PermGroup) -> GSet:
-    """The defining action on {1..degree}; point p has index p - 1."""
+    """The defining action on {1..degree}; point p has index p - 1.  Kept
+    on the group (`_kept`)."""
     elements = group.elements
-    return GSet.from_point_action(
+    return _keep(group, "natural", lambda: GSet.from_point_action(
         group,
         range(1, group.degree + 1),
         Rows(lambda gset, k: list(map((-1).__add__, elements[k].images))),
         label=f"natural({{1..{group.degree}}})",
-    )
+    ))
 
 
 def product_gset(s: GSet, t: GSet) -> GSet:
@@ -887,12 +920,16 @@ def _coded_rule(s: GSet, labels: tuple[int, ...], coordinates) -> Rows:
 
 def symmetric_power(s: GSet, i: int) -> GSet:
     """The G-set of size-i multisets over s, as weakly increasing tuples of
-    point indices."""
+    point indices.  Kept on s (`_kept`), keyed by i."""
+    i = operator.index(i)
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    points = itertools.combinations_with_replacement(range(s.size), i)
-    rule = _coded_rule(s, (0,) * i, tuple)
-    return GSet.from_point_action(s.group, points, rule, label=f"sym^{i}({s.label})")
+    return _keep(s, i, lambda: GSet.from_point_action(
+        s.group,
+        itertools.combinations_with_replacement(range(s.size), i),
+        _coded_rule(s, (0,) * i, tuple),
+        label=f"sym^{i}({s.label})",
+    ))
 
 
 def p_mu_gset(s: GSet, mu) -> GSet:
@@ -901,27 +938,33 @@ def p_mu_gset(s: GSet, mu) -> GSet:
     is a sorted tuple of point indices.  Empty when weight(mu) > |s|.
     A point's coordinates are its blocks' entries in order, each labelled
     by its block (`_coded_rule`); the blocks are disjoint sets, so the
-    labelled entries fix the point."""
+    labelled entries fix the point.  Kept on s (`_kept`), keyed by
+    Partition(mu)."""
     mu = Partition(mu)
+    return _keep(s, mu, lambda: GSet.from_point_action(
+        s.group,
+        _block_tuples(list(range(s.size)), tuple(mu)) if mu.weight <= s.size else [],
+        _coded_rule(s, tuple(r for r, part in enumerate(mu) for _ in range(part)),
+                    itertools.chain.from_iterable),
+        label=_p_mu_label(mu, s),
+    ))
 
-    def tuples(remaining, parts):
-        if not parts:
-            yield ()
-            return
-        head, tail = parts[0], parts[1:]
-        for block in itertools.combinations(remaining, head):
-            if not tail:
-                # the last block leaves nothing to list
-                yield (block,)
-                continue
-            rest = [x for x in remaining if x not in block]
-            for suffix in tuples(rest, tail):
-                yield (block,) + suffix
 
-    points = tuples(list(range(s.size)), tuple(mu)) if mu.weight <= s.size else []
-    labels = tuple(r for r, part in enumerate(mu) for _ in range(part))
-    rule = _coded_rule(s, labels, itertools.chain.from_iterable)
-    return GSet.from_point_action(s.group, points, rule, label=_p_mu_label(mu, s))
+def _block_tuples(remaining: list, parts: tuple):
+    """Every tuple of pairwise disjoint blocks of the given sizes drawn
+    from remaining, each block a sorted tuple, in lexicographic order."""
+    if not parts:
+        yield ()
+        return
+    head, tail = parts[0], parts[1:]
+    for block in itertools.combinations(remaining, head):
+        if not tail:
+            # the last block leaves nothing to list
+            yield (block,)
+            continue
+        rest = [x for x in remaining if x not in block]
+        for suffix in _block_tuples(rest, tail):
+            yield (block,) + suffix
 
 
 def _p_mu_label(mu, s: GSet) -> str:
