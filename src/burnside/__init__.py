@@ -17,10 +17,8 @@ from .partitions import (
     Partition,
     TheoremViolation,
     alpha,
-    composition_to_partition,
     enumerate_partitions,
     format_partition,
-    lex_compare,
     multinomial,
     pad,
     parse_partition,
@@ -70,7 +68,6 @@ _HOMES = {
         "product_gset",
         "restrict",
         "schur_membership",
-        "schur_to_burnside",
         "stabilizer",
         "symmetric_group",
         "symmetric_power",
@@ -128,10 +125,8 @@ __all__ = [
     "Partition",
     "TheoremViolation",
     "alpha",
-    "composition_to_partition",
     "enumerate_partitions",
     "format_partition",
-    "lex_compare",
     "multinomial",
     "pad",
     "parse_partition",

@@ -288,7 +288,8 @@ def parse_group_file(text: str) -> tuple[list[Permutation], int]:
             if lines or degree is not None:
                 raise GroupFileError(lineno, "degree header must come first")
             parts = body.split()
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+            if (len(parts) != 2 or parts[0].lower() != "degree"
+                    or not parts[1].isdecimal() or int(parts[1]) < 1):
                 raise GroupFileError(lineno, f"bad degree header: {body!r}")
             degree = int(parts[1])
             continue
@@ -525,26 +526,20 @@ class PermGroup:
         ]
 
     @cached_property
-    def _young_keys(self) -> dict[Partition, tuple[int, ...]]:
+    def young_keys(self) -> dict[Partition, tuple[int, ...]]:
+        """Canonical keys of the block stabilizers Y_mu (elements preserving
+        each consecutive block of sizes mu_j), for every mu of weight n.
+        Only meaningful when this group is the full symmetric group."""
         return {
             mu: self._canonical_key(frozenset(self._block_stabilizer(mu)))
             for mu in enumerate_partitions(self.degree)
         }
 
     @cached_property
-    def _young_classes(self) -> dict[tuple[int, ...], Partition]:
-        return {key: mu for mu, key in self._young_keys.items()}
-
-    def young_keys(self) -> dict[Partition, tuple[int, ...]]:
-        """Canonical keys of the block stabilizers Y_mu (elements preserving
-        each consecutive block of sizes mu_j), for every mu of weight n.
-        Only meaningful when this group is the full symmetric group."""
-        return self._young_keys
-
     def young_classes(self) -> dict[tuple[int, ...], Partition]:
         """The inverse of `young_keys`: the partition mu of each block
         stabilizer class, keyed by its canonical key."""
-        return self._young_classes
+        return {key: mu for mu, key in self.young_keys.items()}
 
     def is_full_symmetric(self) -> bool:
         """Whether the order is degree!: the order is divided by 2, 3, ...,
@@ -719,8 +714,8 @@ class GSet:
     rows.  ``from_point_action`` caps the points and the table entries,
     then verifies the action: it evaluates the row of every element, checks
     the action axioms on them, and makes the stored rows, |G|·|X| entries
-    in all, the rule, so ``row``, ``act``, ``act_index`` and ``table`` are
-    list lookups.  The plain constructor is the trusted path: it neither
+    in all, the rule, so ``row``, ``act`` and ``table`` are list
+    lookups.  The plain constructor is the trusted path: it neither
     caps nor verifies.  The composites (products, disjoint unions,
     restrictions) use it after checking their size by arithmetic, take
     their axioms from their verified parents and stay lazy: each row is
@@ -769,9 +764,6 @@ class GSet:
     def act(self, g: Permutation, point):
         """Apply one group element to one point."""
         return self.points[self._image(self.group.index_of(g), self._index[point])]
-
-    def act_index(self, g: Permutation, idx: int) -> int:
-        return self._image(self.group.index_of(g), idx)
 
     def table(self, g: Permutation) -> list[int]:
         """Point-index table of one element: its row."""
@@ -1050,7 +1042,7 @@ class BurnsideElement(Combination):
         over a full symmetric group when the class is a block-tuple class."""
         if self.is_zero():
             return "0"
-        young = self.group.young_classes() if self.group.is_full_symmetric() else None
+        young = self.group.young_classes if self.group.is_full_symmetric() else None
         lines = []
         for key, c in self.terms():
             sign = "+" if c > 0 else "-"
@@ -1063,7 +1055,7 @@ class BurnsideElement(Combination):
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        young = self.group.young_classes() if self.group.is_full_symmetric() else None
+        young = self.group.young_classes if self.group.is_full_symmetric() else None
         return {
             "group_order": self.group.order,
             "degree": self.group.degree,
@@ -1314,7 +1306,7 @@ def schur_membership(s: GSet) -> list[dict]:
     group = s.group
     if not group.is_full_symmetric():
         raise ValueError("schur_membership needs the full symmetric group")
-    young = group.young_classes()
+    young = group.young_classes
     verdicts = []
     for orbit in orbits(s):
         members = s._stabilizer_indices(orbit[0])
@@ -1331,23 +1323,16 @@ def schur_membership(s: GSet) -> list[dict]:
     return verdicts
 
 
-def schur_to_burnside(x: SchurElement) -> BurnsideElement:
-    """Reinterpret a block-tuple basis combination inside the Burnside ring
-    of the full symmetric group, via the block stabilizer classes."""
-    group = symmetric_group(x.ambient)
-    keys = group.young_keys()
-    return BurnsideElement._trusted(group, {keys[mu]: c for mu, c in x.coeffs.items()})
-
-
 def burnside_to_schur(x: BurnsideElement) -> SchurElement:
-    """Inverse of schur_to_burnside on its image; rejects classes whose
-    stabilizers are not block stabilizers."""
+    """The block-tuple basis combination of a Burnside element of the full
+    symmetric group, read through the block stabilizer classes; rejects
+    classes whose stabilizers are not block stabilizers."""
     from .schur import SchurElement
 
     group = x.group
     if not group.is_full_symmetric():
         raise ValueError("burnside_to_schur needs the full symmetric group")
-    young = group.young_classes()
+    young = group.young_classes
     coeffs = {}
     for key, c in x.coeffs.items():
         mu = young.get(key)

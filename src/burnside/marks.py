@@ -40,10 +40,12 @@ walk meets the same grouping and cycle length at many prefixes, so the
 moves of each pair (`_moves`) are cached for the walk and dropped when
 it ends: the cache about halves the walk's time, and it, not the path,
 sets the walk's memory, about 10 MB at n = 24 and 46 MB at n = 29.
-`mark_matrix` (`marks --n`) places each row at its index, and
-`verify_injectivity` judges the stored cells.  Both raise `CapExceeded`
-when the dense matrix would have more than `TABLE_CAP` cells (p(n)^2 >
-30M, so n >= 30), before any partition of n is enumerated.
+Each row comes with its index in `marks_vector_order(n)`, which its
+columns index too: `mark_matrix` (`marks --n`) places each row at that
+index, and `verify_injectivity` judges the stored cells against it.
+Both raise `CapExceeded` when the dense matrix would have more than
+`TABLE_CAP` cells (p(n)^2 > 30M, so n >= 30), before any partition of n
+is enumerated.
 
 The order of the partitions of n and the mark column of each basis key
 that `marks_of` meets are cached for the life of the process (see
@@ -98,13 +100,9 @@ def fixed_points(mu, nu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _order(n: int) -> tuple:
-    return tuple(enumerate_partitions(n))
-
-
-def marks_vector_order(n: int) -> list[Partition]:
+def marks_vector_order(n: int) -> tuple[Partition, ...]:
     """Row/column index order used throughout: descending lexicographic."""
-    return list(_order(n))
+    return tuple(enumerate_partitions(n))
 
 
 def _check_cells(n: int) -> None:
@@ -180,19 +178,18 @@ def _groupings(n: int):
 
 
 def mark_rows(n: int):
-    """Rows of the matrix of basis marks: (nu, {column: mark}) for every
-    cycle type nu of n, holding only the nonzero cells.  Columns index
-    `marks_vector_order(n)`; the rows come in depth-first order of their
-    ascending cycle tuples, not in that order.
+    """Rows of the matrix of basis marks: (row, {column: mark}) for every
+    cycle type of n, holding only the nonzero cells.  Rows and columns
+    both index `marks_vector_order(n)`; the rows come in depth-first order
+    of their ascending cycle tuples, not in that order.
 
     A grouping of the cycles of nu with group sums mu fills the blocks of
     [P_mu] in prod_k m_k(mu)! ways.  Raises CapExceeded when the dense
     matrix would have more than `TABLE_CAP` cells, before any work."""
     _check_cells(n)
-    order = _order(n)
     # ascending tuple of block sizes -> (column, ways to fill equal blocks)
     columns = {tuple(reversed(mu)): (c, prod(factorial(mu.count(p)) for p in set(mu)))
-               for c, mu in enumerate(order)}
+               for c, mu in enumerate(marks_vector_order(n))}
 
     def row(counts):
         cells = {}
@@ -201,7 +198,7 @@ def mark_rows(n: int):
             cells[c] = count * ways
         return cells
 
-    return ((order[columns[cycles][0]], row(counts)) for cycles, counts in _groupings(n))
+    return ((columns[cycles][0], row(counts)) for cycles, counts in _groupings(n))
 
 
 def mark_matrix(n: int) -> list[list[int]]:
@@ -213,14 +210,13 @@ def mark_matrix(n: int) -> list[list[int]]:
 
     The dense rendering of `mark_rows`, each row placed at its index."""
     rows = mark_rows(n)
-    order = _order(n)
-    position = {nu: r for r, nu in enumerate(order)}
-    matrix: list = [None] * len(order)
-    for nu, cells in rows:
-        row = [0] * len(order)
+    size = len(marks_vector_order(n))
+    matrix: list = [None] * size
+    for r, cells in rows:
+        row = [0] * size
         for c, value in cells.items():
             row[c] = value
-        matrix[position[nu]] = row
+        matrix[r] = row
     return matrix
 
 
@@ -228,7 +224,7 @@ def mark_matrix(n: int) -> list[list[int]]:
 def _mark_column(mu: Partition) -> tuple:
     """Marks of the basis class of mu at every cycle type of its weight."""
     blocks = tuple(sorted(mu))
-    return tuple(_placements(tuple(nu), blocks) for nu in _order(sum(mu)))
+    return tuple(_placements(tuple(nu), blocks) for nu in marks_vector_order(sum(mu)))
 
 
 class MarkVector(Immutable):
@@ -261,15 +257,6 @@ class MarkVector(Immutable):
         return (f"MarkVector(ambient={self.ambient!r}, "
                 f"cycle_types={self.cycle_types!r}, values={self.values!r})")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.ambient,
-            "marks": [
-                {"cycle_type": list(nu), "value": v}
-                for nu, v in zip(self.cycle_types, self.values)
-            ],
-        }
-
     def render(self) -> str:
         lines = []
         for nu, v in zip(self.cycle_types, self.values):
@@ -281,7 +268,7 @@ class MarkVector(Immutable):
 def marks_of(x: SchurElement) -> MarkVector:
     """Mark vector of an element, extended linearly from the basis: the
     sum of the cached mark columns of its keys."""
-    order = _order(x.ambient)
+    order = marks_vector_order(x.ambient)
     values = [0] * len(order)
     for mu, c in x.coeffs.items():
         values = [v + c * m for v, m in zip(values, _mark_column(mu))]
@@ -297,12 +284,11 @@ def verify_injectivity(n: int) -> dict:
     offending cell in (row, column) order (empty failures means pass).
     """
     rows = mark_rows(n)
-    order = _order(n)
-    position = {nu: r for r, nu in enumerate(order)}
+    order = marks_vector_order(n)
     diagonal = [0] * len(order)
     found: list = [()] * len(order)
-    for nu, cells in rows:
-        r = position[nu]
+    for r, cells in rows:
+        nu = order[r]
         diagonal[r] = cells.get(r, 0)
         failures = [
             {

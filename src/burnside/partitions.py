@@ -1,18 +1,17 @@
-"""Integer partitions and compositions: enumeration, multiplicity profiles,
-multinomials, lexicographic order, padding.
+"""Integer partitions: enumeration, multiplicity profiles, multinomials,
+padding.
 
-Partitions are weakly decreasing tuples of positive integers; compositions
-are arbitrary tuples of positive integers.  Conversion between the two is
-always explicit (sort a composition to get a partition), never implicit.
-All arithmetic is exact integer arithmetic.
+Partitions are weakly decreasing tuples of positive integers; between
+partitions of equal weight, tuple comparison is lexicographic order (see
+`Partition`).  All arithmetic is exact integer arithmetic.
 
 Input from outside the library is checked once, where it enters:
-`Partition(...)`, `parse_partition`, `composition_to_partition` and `pad`
-on anything that is not already a `Partition` reject a non-integer part
-(read through `operator.index`, so 2.7 is refused, not truncated), a part
-below 1 and an increase.  Sizes are read the same way: the i and
-`max_parts` of `enumerate_partitions` and the n of `pad`.  The
-partitions the library builds itself are valid by construction, so they
+`Partition(...)`, `parse_partition` and `pad` on anything that is not
+already a `Partition` reject a non-integer part (read through
+`operator.index`, so 2.7 is refused, not truncated), a part below 1 and
+an increase.  Sizes are read the same way: the i and `max_parts` of
+`enumerate_partitions` and the n of `pad`.  The partitions the library
+builds itself are valid by construction, so they
 skip the check through `Partition._trusted`: `enumerate_partitions`
 builds every one of its results that way, and `pad` trusts a `Partition`
 it is given, since inserting the positive part n - i and sorting keeps
@@ -128,26 +127,8 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def __repr__(self):
         return f"Partition({tuple(self)})"
-
-
-def as_composition(parts) -> tuple[int, ...]:
-    """Validate a tuple of positive integers as a composition."""
-    parts = tuple(map(operator.index, parts))
-    for p in parts:
-        if p < 1:
-            raise ValueError(f"composition parts must be >= 1, got {p}")
-    return parts
-
-
-def composition_to_partition(alpha) -> Partition:
-    """Sort a composition descending into the partition of the same weight."""
-    return Partition(sorted(as_composition(alpha), reverse=True))
 
 
 def enumerate_partitions(i: int, max_parts: int | None = None) -> list[Partition]:
@@ -251,19 +232,6 @@ def pad(mu: Partition, n: int) -> Partition:
     if i == n:
         return mu
     return Partition._trusted(sorted(mu + (n - i,), reverse=True))
-
-
-def lex_compare(mu: Partition, nu: Partition) -> int:
-    """Compare partitions of equal weight: -1, 0 or 1.
-
-    The first differing part decides.  Tuple comparison says the same,
-    since neither partition is a proper prefix of the other (see
-    `Partition`).
-    """
-    mu, nu = Partition(mu), Partition(nu)
-    if mu.weight != nu.weight:
-        raise ValueError(f"lex_compare needs equal weights, got {mu.weight} and {nu.weight}")
-    return (mu > nu) - (mu < nu)
 
 
 def format_partition(mu) -> str:

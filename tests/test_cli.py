@@ -520,7 +520,10 @@ def test_a_closed_pipe_ends_the_output_quietly(tmp_path, fmt):
     ("(1 2)(3)(3)\n", "cycles are not disjoint: [(1, 2), (3,), (3,)]"),
     # a digit that is not a decimal digit is a bad header, not an int() error
     ("degree ²\n(1 2)\n", "bad degree header: 'degree ²'"),
-], ids=["one-cycle-last", "one-cycle-first", "repeated-one-cycle", "superscript-degree"])
+    # the header's first token is the word degree itself, not a longer word
+    ("degreex 3\n(1 2)\n", "bad degree header: 'degreex 3'"),
+], ids=["one-cycle-last", "one-cycle-first", "repeated-one-cycle", "superscript-degree",
+        "degree-prefix"])
 def test_group_file_cycles_and_degree_header(capsys, tmp_path, text, out):
     path = tmp_path / "g.grp"
     path.write_text(text, encoding="utf-8")

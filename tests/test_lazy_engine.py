@@ -122,7 +122,7 @@ def test_caps_live_in_partitions_alone():
 
 
 def test_engine_names_are_served_not_stored():
-    assert len(burnside._ENGINE_NAMES) == 28
+    assert len(burnside._ENGINE_NAMES) == 27
     for name in burnside._ENGINE_NAMES:
         assert getattr(engine, name).__module__ == "burnside.engine", name
     for name in cli._ENGINE_NAMES:

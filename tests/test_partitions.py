@@ -9,11 +9,8 @@ import pytest
 from burnside.partitions import (
     Partition,
     alpha,
-    as_composition,
-    composition_to_partition,
     enumerate_partitions,
     format_partition,
-    lex_compare,
     multinomial,
     pad,
     parse_partition,
@@ -68,7 +65,7 @@ def test_enumeration_is_strictly_descending_lex():
         assert all(p.weight == i for p in parts)
         assert len(set(parts)) == len(parts)
         for a, b in zip(parts, parts[1:]):
-            assert lex_compare(a, b) == 1
+            assert a > b
 
 
 def test_partition_validation():
@@ -80,7 +77,7 @@ def test_partition_validation():
         Partition((2, -1))
     mu = Partition((3, 1, 1))
     assert mu.weight == 5
-    assert mu.length == 3
+    assert len(mu) == 3
 
 
 def test_alpha_run_lengths():
@@ -94,7 +91,7 @@ def test_alpha_run_lengths():
 def test_alpha_sums_to_length():
     for i in range(1, 11):
         for mu in enumerate_partitions(i):
-            assert sum(alpha(mu)) == mu.length
+            assert sum(alpha(mu)) == len(mu)
 
 
 def test_multinomial_examples():
@@ -131,15 +128,6 @@ def test_pad_multiset_property():
                     assert padded == mu
 
 
-def test_lex_compare():
-    assert lex_compare((4,), (3, 1)) == 1
-    assert lex_compare((2, 2), (2, 1, 1)) == 1
-    assert lex_compare((3, 1), (3, 1)) == 0
-    assert lex_compare((2, 1, 1), (2, 2)) == -1
-    with pytest.raises(ValueError):
-        lex_compare((3,), (2, 2))
-
-
 def test_serialization_round_trip():
     assert format_partition(Partition((3, 1, 1))) == "[3,1,1]"
     assert parse_partition("[3,1,1]") == Partition((3, 1, 1))
@@ -152,14 +140,6 @@ def test_serialization_round_trip():
         parse_partition("[2,3]")
     with pytest.raises(ValueError):
         parse_partition("[a]")
-
-
-def test_composition_conversion():
-    comp = as_composition((1, 3, 1))
-    assert comp == (1, 3, 1)
-    assert composition_to_partition(comp) == Partition((3, 1, 1))
-    with pytest.raises(ValueError):
-        as_composition((2, 0))
 
 
 def test_enumerate_with_max_parts_is_the_filtered_list():
@@ -195,6 +175,3 @@ def test_checked_entry_points_still_reject_bad_parts():
             pad(bad, 10)
         with pytest.raises(ValueError):
             parse_partition("[" + ",".join(map(str, bad)) + "]")
-    for bad in ((2, 0), (1, -3)):
-        with pytest.raises(ValueError):
-            composition_to_partition(bad)

@@ -23,7 +23,7 @@ from burnside.engine import (
     symmetric_group,
 )
 from burnside.marks import marks_of
-from burnside.partitions import Partition, as_composition
+from burnside.partitions import Partition
 from burnside.schur import SchurElement, closed_lambda, recursive_lambda, sigma
 
 
@@ -132,11 +132,10 @@ S3_KEY = (0, 1, 2, 3, 4, 5)  # the class of the one-point S_3-set
 
 @pytest.mark.parametrize("build, bad, good, expected", [
     (lambda x: Partition([x, 1]), 2.7, 2, (2, 1)),
-    (lambda x: as_composition([x, 1]), 2.5, True, (1, 1)),
     (lambda c: SchurElement(4, {(2, 2): c}).coeffs, 1.5, True, {(2, 2): 1}),
     (lambda c: BurnsideElement(symmetric_group(3), {S3_KEY: c}).coeffs, 2.9, 2, {S3_KEY: 2}),
     (lambda x: Permutation([x, 1]).images, 2.0, 2, (2, 1)),
-], ids=["partition", "composition", "schur-coefficient", "burnside-coefficient", "permutation"])
+], ids=["partition", "schur-coefficient", "burnside-coefficient", "permutation"])
 def test_checked_constructors_refuse_non_integers(build, bad, good, expected):
     # a float is refused, not truncated; ints and bools still pass
     with pytest.raises(TypeError):

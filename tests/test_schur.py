@@ -390,7 +390,7 @@ def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
               schur._tables, schur._first_row, schur._class_fills, schur._points,
-              marks._placements, marks._order, marks._mark_column)
+              marks._placements, marks.marks_vector_order, marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
