@@ -24,9 +24,8 @@ exceeded.  The group-order cap can be raised through the BURNSIDE_GROUP_CAP
 environment variable.  `marks --n` (and `verify`'s mark matrices) stop at
 the mark-cell cap, p(n)^2 > 30M cells, i.e. n >= 30; `verify` checks every
 n up to n-max against it before any of its families runs.  An input whose
-counting recursion would pass Python's recursion limit, such as a `mul`
-of two operands that each have more parts than half of it, is reported
-as the recursion-depth cap.
+counting recursion runs out of Python's recursion limit is reported as
+the recursion-depth cap.
 
 Each command imports the modules it runs when it runs, so a process
 compiles only those: importing this module loads `partitions` alone;
@@ -426,8 +425,8 @@ def main(argv=None) -> int:
         code, lines, payload = args.func(args)
     except (CapExceeded, RecursionError) as exc:
         if isinstance(exc, RecursionError):
-            # a recursion once per part of the input ran out of Python's
-            # stack, or would have: the input is past what this build can answer
+            # a recursion over the input ran out of Python's stack: the
+            # input is past what this build can answer
             exc = CapExceeded(
                 "recursion-depth", sys.getrecursionlimit(), f"the {args.command} answer"
             )

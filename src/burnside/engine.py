@@ -277,7 +277,8 @@ def parse_group_file(text: str) -> tuple[list[Permutation], int]:
     Each line's cycles are read once.  The degree, the header's or else
     the largest point, is fixed before any permutation is built; the
     natural set has that many points, so a degree over DEFAULT_POINT_CAP
-    is refused there, with that set's own error."""
+    is refused there by the natural set's own check (`_check_points`
+    under `_natural_label`)."""
     degree = None
     lines: list[tuple[int, list]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -299,8 +300,7 @@ def parse_group_file(text: str) -> tuple[list[Permutation], int]:
             raise GroupFileError(lineno, str(exc)) from None
     if degree is None:
         degree = max((p for _, cycles in lines for c in cycles for p in c), default=1)
-    if degree > partitions.DEFAULT_POINT_CAP:
-        raise CapExceeded("point-count", partitions.DEFAULT_POINT_CAP, f"natural({{1..{degree}}})")
+    _check_points(degree, _natural_label(degree))
     gens = []
     for lineno, cycles in lines:
         try:
@@ -398,20 +398,13 @@ class PermGroup:
     @cached_property
     def conjugations(self) -> list[list[int]]:
         """For each generator s, the index of s·g·s⁻¹ for every element g
-        in order; |generators|·|G| lookups, made once."""
-        by_images = self._by_images
+        in order: each s·g of `left_multiples`, times s⁻¹ on the right
+        through its getter; |generators|·|G| lookups, made once."""
+        elements, by_images = self.elements, self._by_images
         tables = []
-        for s in self.generators():
-            s_of = (None,) + s.images
-            # s·g·s⁻¹ sends x to s(g(s⁻¹(x))); g's images are read at
-            # the zero-based points s⁻¹(x) - 1
-            s_inv0 = [0] * self.degree
-            for x, p in enumerate(s.images):
-                s_inv0[p - 1] = x
-            tables.append([
-                by_images[tuple(map(s_of.__getitem__, map(g.images.__getitem__, s_inv0)))]
-                for g in self.elements
-            ])
+        for si, left in self.left_multiples:
+            right = _getter(elements[si].inverse())
+            tables.append([by_images[right(elements[sg].images)] for sg in left])
         return tables
 
     def canonical_key(self, subgroup_elements) -> tuple[int, ...]:
@@ -818,6 +811,10 @@ class GSet:
         return f"<GSet {self.label}: {self.size} points, {self.group!r}>"
 
 
+def _natural_label(degree: int) -> str:
+    return f"natural({{1..{degree}}})"
+
+
 def natural_gset(group: PermGroup) -> GSet:
     """The defining action on {1..degree}; point p has index p - 1.  Kept
     on the group (`_kept`)."""
@@ -826,7 +823,7 @@ def natural_gset(group: PermGroup) -> GSet:
         group,
         range(1, group.degree + 1),
         Rows(lambda gset, k: list(map((-1).__add__, elements[k].images))),
-        label=f"natural({{1..{group.degree}}})",
+        label=_natural_label(group.degree),
     ))
 
 

@@ -15,35 +15,28 @@ entries.  Rows and columns are labelled by tuple position, so each matrix
 counts exactly one orbit and no symmetry quotient is needed.
 
 The matrices are counted, not listed.  A product needs only the multiset
-of nonzero entries of each matrix, and the matrices that complete a given
-first row depend only on the multiset of column sums it leaves.  So the
-count recurses over the rows (`_tables`), with the remaining rows and the
-sorted remaining column sums as a cached state.  [1^n]*[1^n], for example,
-has n! matrices but only n states.  Three choices keep that recursion
-small:
+of nonzero entries of each matrix, and the matrices that complete the
+rows so far depend only on the multiset of column sums they leave.  So
+the count runs one loop over the rows (`_tables`), with the sorted
+remaining column sums as the state and the codes of the entries so far
+counted under it.  [1^n]*[1^n], for example, has n! matrices but only n
+states.  Three choices keep that loop small:
 
 - One orientation.  A transposed matrix has the same entries, so
-  `_pair_product` hands `_basis_product` as rows the partition with more
-  parts (the lex-larger one on a tie; for the one exception see the last
-  point).  Both orders of a pair then share one cached product and one
-  count, and the columns are the fewer, larger sums, whose states repeat
-  most: a `verify --n-max 16` sweep with the other orientation took
-  about a fifth longer and a tenth more memory.
+  `_pair_product` hands `_basis_product` as rows the lex-larger
+  partition, whose largest part is at least the other's.  Both orders
+  of a pair then share one cached product, and the columns are the
+  smaller capacities, which keep the layers small.
 - Shared first-row fills.  The fills of a row, grouped by the capacities
   they leave and the row's nonzero entries, depend only on the row total
-  and the sorted column sums, not on the rows below.  `_first_row`
-  computes them once for every state that starts with that row.
+  and the sorted column sums, not on the other rows.  `_first_row`
+  computes them once, for every state and row that meet them.
 - Fills by capacity class.  Columns of equal capacity are
   interchangeable, so a row is filled class by class, not column by
   column: m columns of capacity c take an amount through a multiset of
   k <= m entries in 1..c, in m!/((m-k)! prod mult!) arrangements
   (`_class_fills`, cached per capacity, class size and amount).  A row of
-  2 over a hundred columns of 1 has one option, not 4950 fills, and no
-  recursion runs once per column; the one recursion per part of an input
-  is `_tables`, once per row.  So when the longer operand has more parts
-  than half the recursion limit, the shorter one is taken as rows, and
-  only a pair with both that long is refused with RecursionError, before
-  any matrix is counted (see `_basis_product`).
+  2 over a hundred columns of 1 has one option, not 4950 fills.
 
 Inside both kernels a multiset of parts kappa is keyed by its code, the
 integer prod_r p_(kappa_r), where p_m is the m-th prime (`ring._encode`,
@@ -113,7 +106,6 @@ keys, σ and the padding of the closed sum's keys to ambient n.
 from __future__ import annotations
 
 import operator
-import sys
 from functools import lru_cache
 from itertools import groupby
 from math import comb
@@ -121,8 +113,7 @@ from math import comb
 from .partitions import (
     Partition, TheoremViolation, _points, alpha, enumerate_partitions, pad,
 )
-# the codes' prime table lives in ring; it stays readable as schur._PRIMES
-from .ring import _PRIMES, Combination, _decode, _encode, closed_terms, recursion_step  # noqa: F401
+from .ring import Combination, _decode, _encode, closed_terms, recursion_step
 
 
 class SchurElement(Combination):
@@ -249,33 +240,38 @@ def _first_row(total: int, cols: tuple) -> dict:
     return groups
 
 
-@lru_cache(maxsize=None)
 def _tables(rows: tuple, cols: tuple) -> dict:
     """Count the nonnegative integer matrices with row sums `rows` and column
     sums `cols` (a sorted tuple of positive capacities) by the multiset of
     their nonzero entries: {code of the entries: number of matrices}.
 
-    The first row's grouped fills (`_first_row`) each multiply the cached
-    counts of the remaining rows over the capacities they leave, so every
-    matrix is counted exactly once, and the row's entries join the rest's
-    by one multiplication of their codes.
+    One loop over the rows holds one layer, {capacities left: {code of the
+    entries so far: number of partial matrices}}.  Each row expands every
+    state through its grouped fills (`_first_row`), whose entries join the
+    codes so far by one multiplication, so every matrix is counted exactly
+    once; the rows use up the columns, so the answer is the layer at the
+    exhausted state ().
     """
-    if not rows:
-        return {1: 1}
-    out: dict[int, int] = {}
-    for (left, entries), ways in _first_row(rows[0], cols).items():
-        head = _encode(entries)
-        for tail, count in _tables(rows[1:], left).items():
-            key = head * tail
-            out[key] = out.get(key, 0) + ways * count
-    return out
+    layer = {cols: {1: 1}}
+    for total in rows:
+        grown: dict[tuple, dict[int, int]] = {}
+        for left, counts in layer.items():
+            for (kept, entries), ways in _first_row(total, left).items():
+                head = _encode(entries)
+                out = grown.setdefault(kept, {})
+                for code, count in counts.items():
+                    key = head * code
+                    out[key] = out.get(key, 0) + ways * count
+        layer = grown
+    return layer[()]
 
 
 def _pair_product(mu: tuple, nu: tuple) -> dict:
-    """`_basis_product` of the pair in its one order, the operand with more
-    parts (the lex-larger on a tie) first, so that one cache entry serves
-    both orders of a pair."""
-    if (len(nu), nu) > (len(mu), mu):
+    """`_basis_product` of the pair in its one order, the lex-larger operand
+    as rows, so that one cache entry serves both orders of a pair and the
+    columns are the smaller capacities, which keep the layers of `_tables`
+    small."""
+    if nu > mu:
         mu, nu = nu, mu
     return _basis_product(mu, nu)
 
@@ -284,32 +280,19 @@ def _pair_product(mu: tuple, nu: tuple) -> dict:
 def _basis_product(mu: tuple, nu: tuple) -> dict:
     """Expand [P_mu]*[P_nu] (mu, nu partitions of the same n) as
     {gamma: multiplicity}: the number of contingency tables with row sums mu
-    and column sums nu whose nonzero entries sort to gamma, counted by the
-    grouped recursion of `_tables` over the rows of mu, or of nu when mu
-    is past half the recursion limit; a transposed table has the same
-    entries, so either order gives the same answer.  The library calls it
-    through `_pair_product`, whose order takes as rows the operand with
-    more parts."""
+    and column sums nu whose nonzero entries sort to gamma, counted by
+    `_tables` over the rows of mu.  A transposed table has the same
+    entries, so either order gives the same answer; the library calls it
+    through `_pair_product`, which fixes the order."""
     n = sum(mu)
     # [P_(n)] is the unit, so its products need no table
     if mu == (n,):
         return {Partition._trusted(nu): 1}
     if nu == (n,):
         return {Partition._trusted(mu): 1}
-    # `_tables` recurses once per row, and before CPython 3.13 each level
-    # spends two of the interpreter's limit (the cache's wrapper and the
-    # body).  So when mu, the rows, has more parts than half the limit nu
-    # is taken as rows, and a pair with both that long is refused at once,
-    # alike on every version, not after a descent of hundreds of levels.
-    limit = sys.getrecursionlimit()
-    if 2 * len(mu) > limit:
-        if 2 * len(nu) > limit:
-            raise RecursionError(
-                f"{len(nu)} and {len(mu)} parts both pass half the recursion limit")
-        mu, nu = nu, mu
     return {
         _decode(code): count
-        for code, count in _tables(tuple(mu), tuple(sorted(nu))).items()
+        for code, count in _tables(mu, tuple(sorted(nu))).items()
     }
 
 

@@ -386,29 +386,33 @@ def _parts(count, part):
     return "[" + ",".join([str(part)] * count) + "]"
 
 
-def test_recursion_limit_is_a_cap_not_a_traceback():
-    # the contingency-table count recurses once per row, and both operands
-    # pass half the recursion limit: refused before any table is counted
+def test_recursion_limit_is_a_cap_not_a_traceback(capsys, monkeypatch):
+    # the contingency tables are counted in a loop over the rows, so two
+    # operands of hundreds of parts are answered in either order
     twos, ones = _parts(600, 2), _parts(1200, 1)
+    points = factorial(1200) ** 2 // 2 ** 600
     for a, b in ((twos, ones), (ones, twos)):
-        for fmt in ("text", "structured"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "burnside.cli", "mul", "--n", "1200", "--a", a, "--b", b,
-                 "--format", fmt],
-                capture_output=True,
-                text=True,
-                timeout=10,
-            )
-            assert proc.returncode == 3
-            assert proc.stderr == ""
-            if fmt == "text":
-                assert proc.stdout.startswith("cap exceeded: recursion-depth cap ")
-                continue
-            doc = json.loads(proc.stdout)
-            assert doc["status"] == "error"
-            payload = doc["payload"]
-            assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
-            assert payload["cap"] == sys.getrecursionlimit()
+        assert _mul_points(1200, a, b, timeout=10) == points
+    # a recursion of another kernel that runs out of stack is still the cap
+    from burnside import schur
+
+    def deep(a, b):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(schur, "schur_mul", deep)
+    for fmt in ("text", "structured"):
+        code = main(["mul", "--n", "4", "--a", "[2,2]", "--b", "[3,1]", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err == ""
+        if fmt == "text":
+            assert out.startswith("cap exceeded: recursion-depth cap ")
+            continue
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        payload = doc["payload"]
+        assert (payload["kind"], payload["which"]) == ("cap", "recursion-depth")
+        assert payload["cap"] == sys.getrecursionlimit()
 
 
 def _mul_points(n, a, b, timeout):
@@ -432,12 +436,17 @@ def test_wide_products_are_answered():
     points = factorial(200) // 2 ** 100 * factorial(200)
     for a, b in ((twos, ones), (ones, twos)):
         assert _mul_points(200, a, b, timeout=30) == points
+    # ten rows of 10 over a hundred columns of 1: one state per layer
+    tens, ones = _parts(10, 10), _parts(100, 1)
+    points = factorial(100) ** 2 // factorial(10) ** 10
+    for a, b in ((tens, ones), (ones, tens)):
+        assert _mul_points(100, a, b, timeout=10) == points
 
 
 @pytest.mark.parametrize("short", [(599, 1), (999, 1), (2,) * 450])
-def test_an_operand_past_half_the_limit_is_taken_as_columns(short):
-    # n ones pass half the recursion limit, so the shorter operand is the
-    # rows, in either order
+def test_n_ones_are_taken_as_columns(short):
+    # n ones are the lex-smaller operand, so they are the columns and the
+    # other operand the rows, in either order: each row has one fill
     n = sum(short)
     points = factorial(n) * cardinality(basis_element(short, n))
     text, ones = "[" + ",".join(map(str, short)) + "]", _parts(n, 1)

@@ -130,6 +130,19 @@ def test_parse_group_file():
     assert exc.value.line_number == 3
 
 
+def test_an_over_cap_degree_is_refused_as_the_natural_set(monkeypatch):
+    # the header's degree is the natural set's size, and its refusal is
+    # that set's own error
+    monkeypatch.setattr(partitions, "DEFAULT_POINT_CAP", 5)
+    errors = []
+    for build in (lambda: parse_group_file("degree 6\n(1 2)\n"),
+                  lambda: natural_gset(symmetric_group(6))):
+        with pytest.raises(CapExceeded) as exc:
+            build()
+        errors.append((exc.value.kind, exc.value.cap, exc.value.construction))
+    assert errors == [("point-count", 5, "natural({1..6})")] * 2
+
+
 # ---------------------------------------------------------------------- groups
 
 
@@ -832,6 +845,10 @@ def test_products_are_the_group_law(group):
         assert list(group._products(g, getters)) == [group.index_of(g * h) for h in elements]
     assert group.left_multiples == [
         (group.index_of(s), [group.index_of(s * h) for h in elements])
+        for s in group.generators()
+    ]
+    assert group.conjugations == [
+        [group.index_of(s * h * s.inverse()) for h in elements]
         for s in group.generators()
     ]
     assert engine._closure({group.identity.images}, group.generators()) == {

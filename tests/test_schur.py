@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import burnside
-from burnside import marks, schur
+from burnside import marks, ring, schur
 from burnside.partitions import Partition, enumerate_partitions, pad
 from burnside.schur import (
     SchurElement,
@@ -323,7 +323,7 @@ def test_reciprocity_kernel_equals_the_table_product_on_tall_sigma():
 
 def test_codes_join_multisets_by_one_multiplication():
     # parts run past the primes tabled when the test starts, so the table grows
-    top = 2 * len(schur._PRIMES)
+    top = 2 * len(ring._PRIMES)
     rng = random.Random(24)
     for _ in range(400):
         a = [rng.randint(1, top) for _ in range(rng.randint(0, 6))]
@@ -332,8 +332,8 @@ def test_codes_join_multisets_by_one_multiplication():
         assert joined == Partition(sorted(a + b, reverse=True)), (a, b)
         assert type(joined) is Partition
     # a code that does not factor down to 1 over the tabled primes is refused
-    beyond = schur._PRIMES[-1] + 1
-    while any(beyond % p == 0 for p in schur._PRIMES[1:]):
+    beyond = ring._PRIMES[-1] + 1
+    while any(beyond % p == 0 for p in ring._PRIMES[1:]):
         beyond += 1
     for code in (0, -6, beyond, beyond * schur._encode((3, 1, 1))):
         with pytest.raises(burnside.TheoremViolation, match="not the code"):
@@ -389,7 +389,7 @@ def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
-              schur._tables, schur._first_row, schur._class_fills, schur._points,
+              schur._first_row, schur._class_fills, schur._points,
               marks._placements, marks.marks_vector_order, marks._mark_column)
 
     def results():
