@@ -6,8 +6,8 @@ structured`` prints one JSON document with fields {status, payload,
 diagnostics}, serialized with sorted keys so that parse-and-redump
 round-trips exactly.  Each subcommand returns its exit code, a function
 that renders its text lines and its payload, so the structured mode never
-renders text it would throw away.  `verify` only renders the report of
-the library's sweep, `burnside.verify.sweep`.
+renders text it would throw away.  `verify` only runs `burnside.verify.sweep`
+and reads its report through `verify.render` and `verify.failed`.
 
 The document is the text of ``json.dumps(document, indent=2,
 sort_keys=True)``, byte for byte, written piece by piece (`_chunks`):
@@ -160,28 +160,7 @@ def cmd_verify(args) -> tuple[int, Lines, dict]:
     from . import verify
 
     report = verify.sweep(args.n_max, args.i_max)
-    n_max, i_max = report["n_max"], report["i_max"]
-    equal, vanish, tri, leading = (report[family] for family in verify.FAMILIES)
-
-    def lines():
-        k = (n_max - 1) // 2
-        out = [
-            f"lambda equalities (closed vs recursive), 1 <= i <= n <= {n_max}: "
-            f"{equal['passed']}/{equal['total']}",
-            f"vanishing above n (both constructions), n < i <= {i_max}: "
-            f"{vanish['passed']}/{vanish['total']}",
-            f"mark matrices lower-triangular with nonzero diagonal, n <= {n_max}: "
-            f"{tri['passed']}/{tri['total']}",
-        ]
-        if k >= 1:
-            out.append(
-                f"leading terms at n={n_max}, k={k}, degree sum <= {n_max // 2}: "
-                f"{leading['passed']}/{leading['checked']}"
-            )
-        return out + [report["final"]]
-
-    failed = any(report[family]["failures"] for family in verify.FAMILIES)
-    return (1 if failed else 0), lines, report
+    return (1 if verify.failed(report) else 0), lambda: verify.render(report), report
 
 
 def cmd_oracle(args) -> tuple[int, Lines, dict]:

@@ -14,11 +14,10 @@ route, case by case:
 
 Each family returns {passed, total, failures}, with one failure record per
 failed case in the order the cases are checked; `leading_terms` names its
-count `checked`.  `FAMILIES` lists their report keys in the order they
-run.  `sweep` checks its arguments, refuses an n past the
-mark-cell cap before any family runs, and returns the four reports with
-the one-line verdict.  `burnside verify` renders that report.  Nothing
-here loads the engine.
+count `checked`.  `FAMILIES` is their one table, in run order, so a new
+family is one entry.  `sweep` checks its arguments, refuses an n past the
+mark-cell cap before any family runs, then runs the table; `failed` decides
+its verdict and `render` gives its text lines.  No engine is loaded here.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 from .marks import _check_cells, verify_injectivity
 from .partitions import enumerate_partitions
 from .schur import closed_lambda, degree, leading_term_check, recursive_lambda
-
-FAMILIES = ("lambda_equalities", "vanishing", "mark_matrices", "leading_terms")
 
 
 def _tally(cases, failure) -> dict:
@@ -92,9 +89,40 @@ def leading_terms(n_max: int) -> dict:
     return leading
 
 
+# (report key, how it runs from (n_max, i_max), its text line or None), in run order
+FAMILIES = (
+    ("lambda_equalities", lambda_equalities,
+     lambda part, n_max, i_max: "lambda equalities (closed vs recursive), 1 <= i <= "
+     + (f"n <= {n_max}" if i_max >= n_max else f"min(n, {i_max}), n <= {n_max}")
+     + f": {part['passed']}/{part['total']}"),
+    ("vanishing", vanishing,
+     lambda part, n_max, i_max: f"vanishing above n (both constructions), n < i <= {i_max}: "
+     f"{part['passed']}/{part['total']}"),
+    ("mark_matrices", lambda n_max, i_max: mark_matrices(n_max),
+     lambda part, n_max, i_max: "mark matrices lower-triangular with nonzero diagonal, "
+     f"n <= {n_max}: {part['passed']}/{part['total']}"),
+    # no line when k = (n_max - 1) // 2 is below 1
+    ("leading_terms", lambda n_max, i_max: leading_terms(n_max),
+     lambda part, n_max, i_max: f"leading terms at n={n_max}, k={(n_max - 1) // 2}, degree "
+     f"sum <= {n_max // 2}: {part['passed']}/{part['checked']}" if n_max >= 3 else None),
+)
+
+
+def failed(report: dict) -> bool:
+    """Whether any family of a sweep's report failed a case."""
+    return any(report[key]["failures"] for key, _, _ in FAMILIES)
+
+
+def render(report: dict) -> list[str]:
+    """The text lines of a sweep's report: each family's line, then the verdict."""
+    n_max, i_max = report["n_max"], report["i_max"]
+    lines = (line(report[key], n_max, i_max) for key, _, line in FAMILIES)
+    return [text for text in lines if text is not None] + [report["final"]]
+
+
 def sweep(n_max: int, i_max: int | None = None) -> dict:
-    """The four families up to n_max, with powers up to i_max (default
-    n_max + 3), and the verdict line under "final"."""
+    """The families of `FAMILIES` up to n_max, with powers up to i_max
+    (default n_max + 3), and the verdict line under "final"."""
     if n_max < 1:
         raise ValueError(f"need n-max >= 1, got {n_max}")
     if i_max is None:
@@ -106,18 +134,11 @@ def sweep(n_max: int, i_max: int | None = None) -> dict:
     # loop ends at the first refused n, so it is bounded by the cap.
     for n in range(1, n_max + 1):
         _check_cells(n)
-    report = {
-        "n_max": n_max,
-        "i_max": i_max,
-        "lambda_equalities": lambda_equalities(n_max, i_max),
-        "vanishing": vanishing(n_max, i_max),
-        "mark_matrices": mark_matrices(n_max),
-        "leading_terms": leading_terms(n_max),
-    }
+    report = {"n_max": n_max, "i_max": i_max}
+    report.update((key, run(n_max, i_max)) for key, run, _ in FAMILIES)
     equal, tri = report["lambda_equalities"], report["mark_matrices"]
-    verdict = "FAIL" if any(report[family]["failures"] for family in FAMILIES) else "PASS"
     report["final"] = (
-        f"{verdict}: {equal['passed']}/{equal['total']} lambda equalities, "
-        f"{tri['passed']}/{tri['total']} mark matrices triangular"
+        f"{'FAIL' if failed(report) else 'PASS'}: {equal['passed']}/{equal['total']} "
+        f"lambda equalities, {tri['passed']}/{tri['total']} mark matrices triangular"
     )
     return report

@@ -107,6 +107,58 @@ def test_verify_renders_the_library_sweep(capsys):
     assert json.loads(out)["payload"] == verify.sweep(5, 2)
 
 
+def test_verify_names_the_i_max_bound_of_the_equalities(capsys):
+    # below n-max, i-max bounds the equalities, and their line says so
+    code, out = run(capsys, "verify", "--n-max", "3", "--i-max", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda equalities (closed vs recursive), 1 <= i <= min(n, 0), n <= 3: 0/0",
+        "vanishing above n (both constructions), n < i <= 0: 0/0",
+        "mark matrices lower-triangular with nonzero diagonal, n <= 3: 3/3",
+        "leading terms at n=3, k=1, degree sum <= 1: 2/2",
+        "PASS: 0/0 lambda equalities, 3/3 mark matrices triangular",
+    ]
+    code, out = run(capsys, "verify", "--n-max", "5", "--i-max", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda equalities (closed vs recursive), 1 <= i <= min(n, 2), n <= 5: 9/9",
+        "vanishing above n (both constructions), n < i <= 2: 1/1",
+        "mark matrices lower-triangular with nonzero diagonal, n <= 5: 5/5",
+        "leading terms at n=5, k=2, degree sum <= 2: 5/5",
+        "PASS: 9/9 lambda equalities, 5/5 mark matrices triangular",
+    ]
+
+
+def test_a_verify_family_is_one_entry(capsys, monkeypatch):
+    # one more entry in the table is run, reported, rendered and judged
+    from burnside import verify
+
+    before = verify.sweep(4)
+    code, text = run(capsys, "verify", "--n-max", "4")
+    assert code == 0
+    extra = {"passed": 0, "total": 1, "failures": [{"n": 4}]}
+    monkeypatch.setattr(verify, "FAMILIES", verify.FAMILIES + (
+        ("extra", lambda n_max, i_max: extra,
+         lambda part, n_max, i_max: f"extra at n={n_max}: {part['passed']}/{part['total']}"),
+    ))
+
+    after = verify.sweep(4)
+    assert after.pop("extra") == extra
+    assert after.pop("final") == before.pop("final").replace("PASS", "FAIL")
+    assert after == before
+    code, out = run(capsys, "verify", "--n-max", "4")
+    assert code == 1
+    lines = text.splitlines()
+    assert out.splitlines() == lines[:-1] + [
+        "extra at n=4: 0/1", lines[-1].replace("PASS", "FAIL")
+    ]
+    code, out = run(capsys, "verify", "--n-max", "4", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["payload"]["extra"] == extra
+
+
 def test_verify_reports_each_failed_case(capsys, monkeypatch):
     # one failing case per family, with every check called in its order
     from burnside import verify
