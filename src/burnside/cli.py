@@ -38,6 +38,16 @@ them, `burnside._ENGINE_NAMES`, reading each from the engine at every
 access, loading it on first access, and never storing it here.  The
 two engine commands call the engine's attributes in the same way, so a
 replaced engine function is the one that runs.
+
+`main(argv)` answers in process and returns the exit code.  The process
+entry, `run`, behind both `python -m burnside.cli` and the `burnside`
+script, calls it, flushes stdout and stderr, and ends the process with
+`os._exit`: the answer is complete once flushed, and a normal exit would
+then free every kept G-set, group, cache and module one by one, which
+takes longer than most answers.  A failed flush raises before the exit,
+so no lost output goes unreported.  An exception or `SystemExit` that
+escapes `main` (argparse's usage errors and `--help`, a bug's traceback)
+takes the normal exit.
 """
 
 from __future__ import annotations
@@ -389,8 +399,9 @@ def _emit(fmt: str, code: int, lines: Lines, payload: dict):
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (`| head`): the rest of the
-        # answer goes to devnull, so the interpreter's final flush stays
-        # quiet and main still returns the command's own exit code
+        # answer goes to devnull, so the final flush (run's, or the
+        # interpreter's) stays quiet and main still returns the command's
+        # own exit code
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -429,5 +440,14 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: main's answer, flushed, then an exit that skips
+    the interpreter's teardown."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

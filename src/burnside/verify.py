@@ -127,8 +127,8 @@ def sweep(n_max: int, i_max: int | None = None) -> dict:
         raise ValueError(f"need n-max >= 1, got {n_max}")
     if i_max is None:
         i_max = n_max + 3
-    if i_max < 0:
-        raise ValueError(f"need i-max >= 0, got {i_max}")
+    if i_max < 1:
+        raise ValueError(f"need i-max >= 1, got {i_max}")
     # the triangularity family stops at the first n whose mark matrix is
     # over the mark-cell cap; refuse that n before any family runs.  The
     # loop ends at the first refused n, so it is bounded by the cap.

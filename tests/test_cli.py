@@ -88,12 +88,14 @@ def test_verify_structured(capsys):
 
 
 def test_verify_negative_i_max_is_a_usage_error(capsys):
-    code, out = run(capsys, "verify", "--n-max", "3", "--i-max", "-5", "--format", "structured")
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["status"] == "error"
-    assert doc["payload"]["kind"] == "usage"
-    assert "i-max" in doc["payload"]["message"]
+    # i-max 0 would check no lambda equality at all, and still pass
+    for i_max in ("-5", "0"):
+        code, out = run(capsys, "verify", "--n-max", "3", "--i-max", i_max, "--format", "structured")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["payload"]["kind"] == "usage"
+        assert doc["payload"]["message"] == f"need i-max >= 1, got {i_max}"
 
 
 def test_verify_renders_the_library_sweep(capsys):
@@ -109,14 +111,14 @@ def test_verify_renders_the_library_sweep(capsys):
 
 def test_verify_names_the_i_max_bound_of_the_equalities(capsys):
     # below n-max, i-max bounds the equalities, and their line says so
-    code, out = run(capsys, "verify", "--n-max", "3", "--i-max", "0")
+    code, out = run(capsys, "verify", "--n-max", "3", "--i-max", "1")
     assert code == 0
     assert out.splitlines() == [
-        "lambda equalities (closed vs recursive), 1 <= i <= min(n, 0), n <= 3: 0/0",
-        "vanishing above n (both constructions), n < i <= 0: 0/0",
+        "lambda equalities (closed vs recursive), 1 <= i <= min(n, 1), n <= 3: 3/3",
+        "vanishing above n (both constructions), n < i <= 1: 0/0",
         "mark matrices lower-triangular with nonzero diagonal, n <= 3: 3/3",
         "leading terms at n=3, k=1, degree sum <= 1: 2/2",
-        "PASS: 0/0 lambda equalities, 3/3 mark matrices triangular",
+        "PASS: 3/3 lambda equalities, 3/3 mark matrices triangular",
     ]
     code, out = run(capsys, "verify", "--n-max", "5", "--i-max", "2")
     assert code == 0
@@ -363,14 +365,57 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def _module_answer(capsys, *argv, timeout=30):
+    """The exit code and stdout of `python -m burnside.cli argv`, checked to
+    be those of `main(argv)` in process, byte for byte, with empty stderr."""
     proc = subprocess.run(
-        [sys.executable, "-m", "burnside.cli", "lambda", "--n", "3", "--i", "1"],
+        [sys.executable, "-m", "burnside.cli", *argv],
         capture_output=True,
-        text=True,
+        timeout=timeout,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "+1*[P(2,1)] @ n=3\n"
+    code, out = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+    return code, out
+
+
+def test_module_entry_point(capsys, tmp_path):
+    # the process ends as soon as the answer is flushed: a short answer, one
+    # far larger than a pipe buffer, a text oracle answer and a usage error
+    # each arrive whole, with main's exit code
+    assert _module_answer(capsys, "lambda", "--n", "3", "--i", "1") == (0, "+1*[P(2,1)] @ n=3\n")
+    code, out = _module_answer(capsys, "marks", "--n", "18", "--format", "structured")
+    assert code == 0 and len(out) > 1_000_000
+    assert len(json.loads(out)["payload"]["matrix"]) == 385
+    group = tmp_path / "s4.grp"
+    group.write_text("(1 2)\n(1 2 3 4)\n")
+    code, out = _module_answer(capsys, "oracle", "--group", str(group), "--i", "2", "--action", "doubled")
+    assert code == 0 and out.endswith("\nEQUAL\n")
+    assert _module_answer(capsys, "lambda", "--n", "0", "--i", "1") == (
+        2, "error: need n >= 1 and i >= 0, got n=0, i=1\n")
+
+
+def test_the_process_entry_skips_the_teardown():
+    # run() ends the process with main's code once the answer is flushed, so
+    # no atexit handler runs; an argparse refusal raises SystemExit out of
+    # main and takes the normal exit, handlers included
+    child = (
+        "import atexit, sys\n"
+        "from burnside import cli\n"
+        "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+        "cli.run()\n"
+    )
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-c", child, *argv],
+                              capture_output=True, text=True, timeout=10)
+
+    proc = entry("marks", "--n", "40")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == (
+        "cap exceeded: mark-cells cap 30000000 exceeded while building the mark matrix at n=40\n")
+    proc = entry("marks")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("the following arguments are required: --n\nteardown ran\n")
 
 
 def test_tall_sigma_finishes():
@@ -392,16 +437,11 @@ def test_tall_sigma_finishes():
     assert points == comb(121, 120)
 
 
-def test_marks_past_the_cell_cap_exits_at_once():
+def test_marks_past_the_cell_cap_exits_at_once(capsys):
     # p(40)^2 is about 1.4e9 cells; the cap refuses it before enumerating
-    proc = subprocess.run(
-        [sys.executable, "-m", "burnside.cli", "marks", "--n", "40", "--format", "structured"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert proc.returncode == 3
-    payload = json.loads(proc.stdout)["payload"]
+    code, out = _module_answer(capsys, "marks", "--n", "40", "--format", "structured", timeout=10)
+    assert code == 3
+    payload = json.loads(out)["payload"]
     assert (payload["kind"], payload["which"], payload["cap"]) == ("cap", "mark-cells", 30_000_000)
 
 
