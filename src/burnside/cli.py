@@ -9,6 +9,12 @@ that renders its text lines and its payload, so the structured mode never
 renders text it would throw away.  `verify` only runs `burnside.verify.sweep`
 and reads its report through `verify.render` and `verify.failed`.
 
+The subcommands are one table, `COMMANDS`: each name maps to its runner,
+its help and its argument specs in order, and `build_parser` adds them in
+one loop, each after the shared `--format`.  `--n` and `--i` are each
+written once, so a new subcommand is one entry and a shared option one
+spec.
+
 The document is the text of ``json.dumps(document, indent=2,
 sort_keys=True)``, byte for byte, written piece by piece (`_chunks`):
 dicts recurse in Python, and each flat list of scalars, such as a row of
@@ -179,7 +185,7 @@ def cmd_oracle(args) -> tuple[int, Lines, dict]:
     from . import engine
 
     try:
-        with open(args.group, "r", encoding="utf-8") as handle:
+        with open(args.group, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read group file {args.group}: {exc}") from None
@@ -247,89 +253,51 @@ def cmd_indres(args) -> tuple[int, Lines, dict]:
     return (0 if ok else 1), lines, payload
 
 
+# the options that more than one command takes, each written once
+_FORMAT = ("--format", {"choices": ["text", "structured"], "default": "text",
+                        "help": "output mode: human-readable text or a JSON document"})
+_N = ("--n", {"type": int, "required": True})
+_I = ("--i", {"type": int, "required": True})
+_PARTITION = {"required": True, "help": "partition, e.g. [2,2]"}
+
+# name -> (runner, help, argument specs in order), in the order the
+# subcommands are listed; each spec is (flag, add_argument keywords), and
+# every command takes _FORMAT first
+COMMANDS = {
+    "lambda": (cmd_lambda, "exterior-power class of {1..n}", [
+        _N, _I, ("--method", {"choices": ["closed", "recursive", "both"], "default": "closed"}),
+    ]),
+    "sigma": (cmd_sigma, "symmetric-power class of {1..n}", [_N, _I]),
+    "mul": (cmd_mul, "product of two basis classes", [_N, ("--a", _PARTITION), ("--b", _PARTITION)]),
+    "marks": (cmd_marks, "mark matrix at ambient n", [_N]),
+    "verify": (cmd_verify, "verification sweep: lambda equalities, vanishing, mark "
+               "triangularity, leading terms", [
+        ("--n-max", {"type": int, "default": 8}),
+        ("--i-max", {"type": int, "help": "largest power checked (default: n-max + 3)"}),
+    ]),
+    "oracle": (cmd_oracle, "compare the closed signed sum with the recursion over a "
+               "user-supplied group", [
+        ("--group", {"required": True, "help": "group file (cycle notation)"}),
+        _I,
+        ("--action", {"choices": ["natural", "doubled"], "default": "natural"}),
+    ]),
+    "indres": (cmd_indres, "induction/restriction checks for block-tuple classes and the "
+               "top exterior power", [_I, _N]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["text", "structured"],
-        default="text",
-        help="output mode: human-readable text or a JSON document",
-    )
     parser = argparse.ArgumentParser(
         prog="burnside",
         description="Exact lambda-ring computations on Burnside rings of "
         "symmetric groups, with a brute-force oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "lambda", parents=[common], help="exterior-power class of {1..n}"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument(
-        "--method", choices=["closed", "recursive", "both"], default="closed"
-    )
-    p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser(
-        "sigma", parents=[common], help="symmetric-power class of {1..n}"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_sigma)
-
-    p = sub.add_parser(
-        "mul", parents=[common], help="product of two basis classes"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True, help="partition, e.g. [2,2]")
-    p.add_argument("--b", required=True, help="partition, e.g. [2,2]")
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser(
-        "marks", parents=[common], help="mark matrix at ambient n"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_marks)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="verification sweep: lambda equalities, vanishing, mark "
-        "triangularity, leading terms",
-    )
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.add_argument(
-        "--i-max",
-        dest="i_max",
-        type=int,
-        default=None,
-        help="largest power checked (default: n-max + 3)",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "oracle",
-        parents=[common],
-        help="compare the closed signed sum with the recursion over a "
-        "user-supplied group",
-    )
-    p.add_argument("--group", required=True, help="group file (cycle notation)")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--action", choices=["natural", "doubled"], default="natural")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser(
-        "indres",
-        parents=[common],
-        help="induction/restriction checks for block-tuple classes and the "
-        "top exterior power",
-    )
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_indres)
-
+    for name, (runner, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in (_FORMAT, *specs):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=runner)
     return parser
 
 

@@ -1,11 +1,14 @@
 """Brute-force G-set engine.
 
 Everything here is computed from first principles on explicit objects:
-groups are full element sets, actions are verified point maps, orbits come
-from breadth-first search, and isomorphism classes of transitive G-sets are
-identified by conjugacy search over stabilizers.  The point is to have an
-oracle whose only inputs are the definitions, so that the closed formulas
-elsewhere in the package can be checked against it.
+groups are full element sets, actions are verified point maps, and
+isomorphism classes of transitive G-sets are identified by conjugacy
+search over stabilizers.  Whatever generators reach comes from one
+breadth-first walk, `_orbit`: a group's closure, a point's orbit, a
+subgroup's conjugates, a permutation's cycles, and the graph of a
+homomorphism given on generators, which is closed like a group.  The
+point is to have an oracle whose only inputs are the definitions, so that
+the closed formulas elsewhere in the package can be checked against it.
 
 The hot paths run on integers.  A group keeps `Permutation` objects only
 at its edges (parsing, printing, the public API and its sorted `elements`
@@ -18,8 +21,8 @@ element indices.  A right factor h is held as the itemgetter of its
 zero-based images (`_getter`), which builds the image tuple of g·h from
 g's in C; the products of one element with a list of right factors are
 one `map` of those getters and one of the index lookups
-(`PermGroup._products`), and the closure multiplies its frontier the same
-way.  A G-set's action is given once, as rows: row k lists the image
+(`PermGroup._products`), and the closure calls the generators' getters
+on each element it reaches.  A G-set's action is given once, as rows: row k lists the image
 index of every point under the element with index k.  Every construction
 computes its rows from its parents' rows by index arithmetic; the
 verified ones take a fixed number of C-level `map` passes per element,
@@ -37,7 +40,8 @@ not a Python step per point:
   parent's rows, each shifted to its coset's block once per group
   element;
 - unions, products and restrictions shift, combine or reindex their
-  parents' rows.
+  parents' rows; a restriction along a homomorphism reads it on image
+  tuples, from its closed graph, like every product after closure.
 
 No group element acts on a point object.  A pointwise action function
 given by a caller is adapted onto the same rows.
@@ -187,21 +191,13 @@ class Permutation(Immutable):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its
-        least element, ordered by least element."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            p = self(start)
-            while p != start:
-                cyc.append(p)
-                seen[p - 1] = True
-                p = self(p)
-            out.append(tuple(cyc))
-        return out
+        least element, ordered by least element: the walk (`_orbit`) from
+        each point not yet reached, stepping to its image, traces its
+        cycle in order."""
+        step = ((0,) + self.images).__getitem__
+        seen: set[int] = set()
+        return [tuple(_orbit([start], [step], reached=seen))
+                for start in range(1, self.degree + 1) if start not in seen]
 
     def cycle_type(self) -> Partition:
         return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -417,23 +413,18 @@ class PermGroup:
         """`canonical_key` of the subgroup with the given element indices.
 
         The conjugates are found as the orbit of the index set under the
-        generators' conjugation tables, which is its whole conjugacy class
-        because the generators generate the group.  That costs about
-        (number of conjugates)·|generators|·|H| lookups instead of |G|·|H|
-        products.  The key is cached for every conjugate.
+        generators' conjugation tables (`_orbit`), which is its whole
+        conjugacy class because the generators generate the group.  That
+        costs about (number of conjugates)·|generators|·|H| lookups instead
+        of |G|·|H| products.  The key is cached for every conjugate.
         """
         hit = self._key_cache.get(members)
         if hit is not None:
             return hit
-        tables = [table.__getitem__ for table in self.conjugations]
-        conjugates = [members]
-        seen = {members}
-        for conj in conjugates:
-            for table in tables:
-                nxt = frozenset(map(table, conj))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    conjugates.append(nxt)
+        conjugates = _orbit([members], [
+            lambda conj, table=table.__getitem__: frozenset(map(table, conj))
+            for table in self.conjugations
+        ])
         best = min(tuple(sorted(conj)) for conj in conjugates)
         for conj in conjugates:
             self._key_cache[conj] = best
@@ -557,37 +548,42 @@ def _getter(g: Permutation) -> operator.itemgetter:
     return operator.itemgetter(*[p - 1 for p in g.images])
 
 
+def _orbit(seed, steps, cap: int | None = None, error: Exception | None = None,
+           reached: set | None = None) -> list:
+    """Everything the steps reach from the seed, each item once, in the
+    order reached, seed first: the engine's one breadth-first walk.  The
+    list of items is its own queue, and each step, such as an itemgetter or
+    a list lookup, is called on each item in turn.  The items join
+    `reached` (a new set, or one that walks share); an item already in it
+    is not walked again, though the seed always is.  Once reached would
+    pass the cap, the given error."""
+    if reached is None:
+        reached = set()
+    items = list(seed)
+    reached.update(items)
+    for item in items:
+        for step in steps:
+            new = step(item)
+            if new not in reached:
+                if cap is not None and len(reached) >= cap:
+                    raise error
+                reached.add(new)
+                items.append(new)
+    return items
+
+
 def _sweep(elements, identity: Permutation) -> tuple[list[Permutation], set]:
     """A greedy sweep in the given order that keeps an element whenever it
     is not generated by those already kept: the kept elements, and the
-    image tuples of the group they generate."""
+    image tuples of the group they generate, closed by right
+    multiplication (`_orbit`) in one set."""
     gens: list[Permutation] = []
     known = {identity.images}
     for g in elements:
         if g.images not in known:
             gens.append(g)
-            known = _closure(known | {g.images}, gens)
+            _orbit(list(known), [_getter(s) for s in gens], reached=known)
     return gens, known
-
-
-def _closure(seed: set, gens, cap: int | None = None, error: CapExceeded | None = None) -> set:
-    """The image tuples of the elements generated from the image tuples in
-    seed by right multiplication with the generators; once the set would
-    pass the cap, the given error."""
-    getters = [_getter(s) for s in gens]
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for get in getters:
-            for new in map(get, frontier):
-                if new not in out:
-                    if cap is not None and len(out) >= cap:
-                        raise error
-                    out.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return out
 
 
 def group_closure(generators, degree: int | None = None) -> PermGroup:
@@ -617,8 +613,8 @@ def group_closure(generators, degree: int | None = None) -> PermGroup:
         if not cap:
             # not even the identity fits
             raise error
-    seen = _closure({tuple(range(1, degree + 1))}, generators, cap, error)
-    return PermGroup(degree, map(Permutation._trusted, seen), generators=generators)
+    images = _orbit([tuple(range(1, degree + 1))], [_getter(s) for s in generators], cap, error)
+    return PermGroup(degree, map(Permutation._trusted, images), generators=generators)
 
 
 @lru_cache(maxsize=None)
@@ -961,25 +957,23 @@ def _p_mu_label(mu, s: GSet) -> str:
 
 
 def orbits(s: GSet) -> list[list[int]]:
-    """Orbits as sorted lists of point indices, ordered by least element."""
+    """Orbits as sorted lists of point indices, ordered by least element.
+    A point that no generator moves is an orbit of its own, found in C;
+    every other orbit is one walk (`_orbit`), all walks sharing one set of
+    the points already reached."""
     tables = [s.table(g) for g in s.group.generators()]
-    seen = [False] * s.size
+    points = range(s.size)
+    moved: set[int] = set()
+    for table in tables:
+        moved.update(itertools.compress(points, map(operator.ne, table, points)))
+    steps = [table.__getitem__ for table in tables]
+    seen: set[int] = set()
     out = []
-    for start in range(s.size):
-        if seen[start]:
-            continue
-        component = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            idx = queue.pop()
-            for table in tables:
-                nxt = table[idx]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    component.append(nxt)
-                    queue.append(nxt)
-        out.append(sorted(component))
+    for start in points:
+        if start not in moved:
+            out.append([start])
+        elif start not in seen:
+            out.append(sorted(_orbit([start], steps, reached=seen)))
     return out
 
 
@@ -1145,13 +1139,14 @@ def eq6_general(s: GSet, i: int) -> BurnsideElement:
 
 
 def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> dict:
-    """Extend a map on a generating set of h to all of h by word expansion,
-    rejecting anything that is not a homomorphism.  Every product extension
-    step is checked against previously assigned values, which covers the
-    full multiplication table by induction on word length.  Every image
-    must have the target degree."""
-    gens = list(gen_images)
-    for g in gens:
+    """Extend a map on a generating set of h to all of h, as a dict from
+    each element's image tuple to its image's, rejecting anything that is
+    not a homomorphism.  Each pair (s, φ(s)) is one permutation of h's
+    points followed by the target's, and the walk (`_orbit`, capped at
+    |h|) closes them into their graph.  The map is accepted exactly when
+    the graph's projection to h is one-to-one and onto.  Every image must
+    have the target degree."""
+    for g in gen_images:
         if g not in h:
             raise ValueError(f"generator {g} is not in the group")
     degrees = {img.degree for img in gen_images.values()}
@@ -1161,24 +1156,17 @@ def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> d
         raise ValueError(
             f"generator images have degree {degrees.pop()}, expected {target_degree}"
         )
-    phi = {h.identity: Permutation.identity(target_degree)}
-    frontier = [h.identity]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for s in gens:
-                new = cur * s
-                image = phi[cur] * gen_images[s]
-                known = phi.get(new)
-                if known is None:
-                    phi[new] = image
-                    nxt.append(new)
-                elif known != image:
-                    raise ValueError(
-                        f"generator images do not define a homomorphism: "
-                        f"conflicting images for {new}"
-                    )
-        frontier = nxt
+    d = h.degree
+    pairs = [
+        Permutation._trusted(g.images + tuple(map(d.__add__, img.images)))
+        for g, img in gen_images.items()
+    ]
+    error = ValueError("generator images do not define a homomorphism")
+    graph = _orbit([tuple(range(1, d + target_degree + 1))], [_getter(p) for p in pairs],
+                   h.order, error)
+    phi = {x[:d]: tuple(map((-d).__add__, x[d:])) for x in graph}
+    if len(phi) != len(graph):
+        raise error
     if len(phi) != h.order:
         raise ValueError("gen_images keys do not generate the group")
     return phi
@@ -1187,18 +1175,19 @@ def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> d
 def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
     """Pull the action back along a homomorphism into s's group, given by
     images of a generating set of h; omitted, h must be a subgroup of s's
-    group and the inclusion is used."""
-    if gen_images is None:
-        phi = dict(zip(h.elements, h.elements))
-    else:
+    group and the inclusion is used.  The homomorphism is read on image
+    tuples (`extend_homomorphism`)."""
+    images = [g.images for g in h.elements]
+    if gen_images is not None:
         phi = extend_homomorphism(h, gen_images, s.group.degree)
+        images = [phi[x] for x in images]
     # element index in h -> element index of its image in s's group
     by_images = s.group._by_images
     phi_index = []
-    for g in h.elements:
-        k = by_images.get(phi[g].images)
+    for image in images:
+        k = by_images.get(image)
         if k is None:
-            raise ValueError(f"image {phi[g]} is not in the acting group")
+            raise ValueError(f"image {Permutation._trusted(image)} is not in the acting group")
         phi_index.append(k)
     label = f"res({s.label})"
     _check_points(s.size, label)

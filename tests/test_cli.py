@@ -1,5 +1,6 @@
 """Command-line interface: exact output, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from burnside.cli import main
+from burnside.cli import build_parser, main
 from burnside.schur import SchurElement, basis_element, cardinality
 
 
@@ -280,6 +281,21 @@ def test_oracle_undecodable_file_names_the_file(capsys, tmp_path):
     assert out.startswith(f"error: cannot read group file {path}: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("text", ["(1 2)\n(1 2 3)\n", "degree 3\n(1 2)\n(1 2 3)\n"],
+                         ids=["cycles", "degree-header"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path, text, fmt):
+    # an editor may save the file with a UTF-8 byte-order mark: it answers
+    # exactly as the same file without one
+    plain, marked = tmp_path / "plain.grp", tmp_path / "marked.grp"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    answers = [run(capsys, "oracle", "--group", str(path), "--i", "2", "--format", fmt)
+               for path in (plain, marked)]
+    assert answers[0][0] == 0
+    assert answers[1] == answers[0]
+
+
 def test_oracle_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BURNSIDE_GROUP_CAP", "10")
     path = tmp_path / "s4.grp"
@@ -303,6 +319,34 @@ def test_indres(capsys):
     assert out.splitlines()[-1] == "PASS"
     code, out = run(capsys, "indres", "--i", "5", "--n", "4")
     assert code == 2
+
+
+def test_the_parser_surface():
+    # each subcommand's options in order, as (flags, dest, type, default,
+    # required, choices), written out here rather than read from the table
+    FORMAT = (["--format"], "format", None, "text", False, ["text", "structured"])
+    N = (["--n"], "n", int, None, True, None)
+    I = (["--i"], "i", int, None, True, None)
+    expected = {
+        "lambda": [FORMAT, N, I,
+                   (["--method"], "method", None, "closed", False, ["closed", "recursive", "both"])],
+        "sigma": [FORMAT, N, I],
+        "mul": [FORMAT, N, (["--a"], "a", None, None, True, None),
+                (["--b"], "b", None, None, True, None)],
+        "marks": [FORMAT, N],
+        "verify": [FORMAT, (["--n-max"], "n_max", int, 8, False, None),
+                   (["--i-max"], "i_max", int, None, False, None)],
+        "oracle": [FORMAT, (["--group"], "group", None, None, True, None), I,
+                   (["--action"], "action", None, "natural", False, ["natural", "doubled"])],
+        "indres": [FORMAT, I, N],
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(expected)
+    for name, subparser in sub.choices.items():
+        options = [(a.option_strings, a.dest, a.type, a.default, a.required, a.choices)
+                   for a in subparser._actions if a.dest != "help"]
+        assert options == expected[name], name
 
 
 def test_usage_errors(capsys):

@@ -814,6 +814,17 @@ def test_restrict_and_induce_rows_match_definitions(group, doubled):
     _rows_match(up, image)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extend_homomorphism_is_the_projection_of_a_young_subgroup(n):
+    # the graph's closure on the generators of S_i x S_{n-i} sends every
+    # element g to g restricted to {1..i}
+    for i in range(1, n + 1):
+        h = young_subgroup(i, n)
+        images = {g: Permutation(g.images[:i]) for g in h.generators()}
+        phi = engine.extend_homomorphism(h, images, i)
+        assert phi == {g.images: g.images[:i] for g in h.elements}
+
+
 def test_restrict_rows_along_a_projection():
     h = young_subgroup(2, 4)
     images = {g: Permutation(g(p) for p in (1, 2)) for g in h.generators()}
@@ -851,9 +862,9 @@ def test_products_are_the_group_law(group):
         [group.index_of(s * h * s.inverse()) for h in elements]
         for s in group.generators()
     ]
-    assert engine._closure({group.identity.images}, group.generators()) == {
-        g.images for g in elements
-    }
+    # the walk reaches every element once, from the identity
+    steps = [engine._getter(s) for s in group.generators()]
+    assert sorted(engine._orbit([group.identity.images], steps)) == [g.images for g in elements]
 
 
 def test_coded_rows_match_definitions_past_the_prime_table(monkeypatch):
@@ -1097,6 +1108,18 @@ REFUSALS = [
      lambda: engine.extend_homomorphism(
          symmetric_group(3), {parse_permutation("(1 2)", 3): parse_permutation("(1 2)", 3)}, 3),
      r"^gen_images keys do not generate the group$"),
+    # C_3's rotation sent to (1 2): the pairs generate a graph of 6
+    # elements, more than |C_3|, so it is no map on C_3
+    ("hom-graph-past-the-group",
+     lambda: engine.extend_homomorphism(cyclic_group(3), {_c3_rotation(): parse_permutation("(1 2)", 3)}, 3),
+     r"^generator images do not define a homomorphism"),
+    # (1 2) sent to (1 2 3): a graph of 6 elements, within the cap of
+    # |S_3|, over a subgroup of 2; that its projection is not one-to-one is
+    # reported before that it is not onto
+    ("hom-graph-over-a-subgroup",
+     lambda: engine.extend_homomorphism(
+         symmetric_group(3), {parse_permutation("(1 2)", 3): parse_permutation("(1 2 3)")}, 3),
+     r"^generator images do not define a homomorphism$"),
     ("restrict-image-outside",
      lambda: restrict(natural_gset(cyclic_group(3)), symmetric_group(2),
                       {parse_permutation("(1 2)"): parse_permutation("(1 2)", 3)}),

@@ -290,11 +290,19 @@ def test_marks_of_basics():
 
 
 def test_marks_multiplicative():
-    for n in (2, 4, 6):
-        for a, b in zip(random_elements(n, 5, 31), random_elements(n, 5, 32)):
-            lhs = marks_of(schur_mul(a, b)).values
-            va, vb = marks_of(a).values, marks_of(b).values
-            assert lhs == tuple(x * y for x, y in zip(va, vb))
+    # random elements, and every pair mu >= nu of basis classes at n <= 10
+    # (1,860 pairs): marks are an injective ring map, so the second is a
+    # complete check of the product at those n
+    pairs = [pair for n in (2, 4, 6) for pair in zip(random_elements(n, 5, 31),
+                                                      random_elements(n, 5, 32))]
+    for n in range(1, 11):
+        basis = [basis_element(mu, n) for mu in enumerate_partitions(n)]
+        pairs += [(x, y) for j, x in enumerate(basis) for y in basis[j:]]
+    assert len(pairs) == 15 + 1860
+    for a, b in pairs:
+        lhs = marks_of(schur_mul(a, b)).values
+        va, vb = marks_of(a).values, marks_of(b).values
+        assert lhs == tuple(x * y for x, y in zip(va, vb)), (a, b)
 
 
 def test_sigma_marks_are_geometric_series():
