@@ -10,10 +10,8 @@ renders text it would throw away.  `verify` only runs `burnside.verify.sweep`
 and reads its report through `verify.render` and `verify.failed`.
 
 The subcommands are one table, `COMMANDS`: each name maps to its runner,
-its help and its argument specs in order, and `build_parser` adds them in
-one loop, each after the shared `--format`.  `--n` and `--i` are each
-written once, so a new subcommand is one entry and a shared option one
-spec.
+its help and its argument specs in order, which one loop in `build_parser`
+adds after the shared `--format`.  `--n` and `--i` are each written once.
 
 The document is the text of ``json.dumps(document, indent=2,
 sort_keys=True)``, byte for byte, written piece by piece (`_chunks`):

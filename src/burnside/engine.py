@@ -1,14 +1,13 @@
 """Brute-force G-set engine.
 
 Everything here is computed from first principles on explicit objects:
-groups are full element sets, actions are verified point maps, and
-isomorphism classes of transitive G-sets are identified by conjugacy
-search over stabilizers.  Whatever generators reach comes from one
-breadth-first walk, `_orbit`: a group's closure, a point's orbit, a
-subgroup's conjugates, a permutation's cycles, and the graph of a
-homomorphism given on generators, which is closed like a group.  The
-point is to have an oracle whose only inputs are the definitions, so that
-the closed formulas elsewhere in the package can be checked against it.
+groups are full element sets, actions are verified point maps, orbits come
+from a plain loop over integer rows, and isomorphism classes of transitive
+G-sets are identified by conjugacy search over stabilizers.  A group's
+closure, a subgroup's conjugates and the graph of a homomorphism given on
+generators come from one breadth-first walk, `_orbit`.  The point is to
+have an oracle whose only inputs are the definitions, so that the closed
+formulas elsewhere in the package can be checked against it.
 
 The hot paths run on integers.  A group keeps `Permutation` objects only
 at its edges (parsing, printing, the public API and its sorted `elements`
@@ -22,11 +21,11 @@ zero-based images (`_getter`), which builds the image tuple of g·h from
 g's in C; the products of one element with a list of right factors are
 one `map` of those getters and one of the index lookups
 (`PermGroup._products`), and the closure calls the generators' getters
-on each element it reaches.  A G-set's action is given once, as rows: row k lists the image
-index of every point under the element with index k.  Every construction
-computes its rows from its parents' rows by index arithmetic; the
-verified ones take a fixed number of C-level `map` passes per element,
-not a Python step per point:
+on each element it reaches.  A G-set's action is given once, as rows:
+row k lists the image index of every point under the element with index
+k.  Every construction computes its rows from its parents' rows by index
+arithmetic; the verified ones take a fixed number of C-level `map` passes
+per element, not a Python step per point:
 
 - a natural set reads each permutation's images;
 - a symmetric power and a block-tuple set code each point by a product
@@ -191,13 +190,21 @@ class Permutation(Immutable):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles including fixed points, each starting at its
-        least element, ordered by least element: the walk (`_orbit`) from
-        each point not yet reached, stepping to its image, traces its
-        cycle in order."""
-        step = ((0,) + self.images).__getitem__
-        seen: set[int] = set()
-        return [tuple(_orbit([start], [step], reached=seen))
-                for start in range(1, self.degree + 1) if start not in seen]
+        least element, ordered by least element."""
+        seen = [False] * self.degree
+        out = []
+        for start in range(1, self.degree + 1):
+            if seen[start - 1]:
+                continue
+            cyc = [start]
+            seen[start - 1] = True
+            p = self(start)
+            while p != start:
+                cyc.append(p)
+                seen[p - 1] = True
+                p = self(p)
+            out.append(tuple(cyc))
+        return out
 
     def cycle_type(self) -> Partition:
         return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -548,15 +555,13 @@ def _getter(g: Permutation) -> operator.itemgetter:
     return operator.itemgetter(*[p - 1 for p in g.images])
 
 
-def _orbit(seed, steps, cap: int | None = None, error: Exception | None = None,
+def _orbit(seed, steps, cap: tuple[int, Exception] | None = None,
            reached: set | None = None) -> list:
-    """Everything the steps reach from the seed, each item once, in the
-    order reached, seed first: the engine's one breadth-first walk.  The
-    list of items is its own queue, and each step, such as an itemgetter or
-    a list lookup, is called on each item in turn.  The items join
-    `reached` (a new set, or one that walks share); an item already in it
-    is not walked again, though the seed always is.  Once reached would
-    pass the cap, the given error."""
+    """Everything the steps reach from the seed, each item once, seed first,
+    in breadth-first order; the list of items is its own queue.  Items join
+    `reached` (a new set, or one that walks share) and are not walked
+    again, though the seed always is.  With cap = (limit, error), the error
+    is raised once reached would pass the limit."""
     if reached is None:
         reached = set()
     items = list(seed)
@@ -565,8 +570,8 @@ def _orbit(seed, steps, cap: int | None = None, error: Exception | None = None,
         for step in steps:
             new = step(item)
             if new not in reached:
-                if cap is not None and len(reached) >= cap:
-                    raise error
+                if cap is not None and len(reached) >= cap[0]:
+                    raise cap[1]
                 reached.add(new)
                 items.append(new)
     return items
@@ -613,7 +618,8 @@ def group_closure(generators, degree: int | None = None) -> PermGroup:
         if not cap:
             # not even the identity fits
             raise error
-    images = _orbit([tuple(range(1, degree + 1))], [_getter(s) for s in generators], cap, error)
+    images = _orbit([tuple(range(1, degree + 1))], [_getter(s) for s in generators],
+                    (cap, error))
     return PermGroup(degree, map(Permutation._trusted, images), generators=generators)
 
 
@@ -957,23 +963,25 @@ def _p_mu_label(mu, s: GSet) -> str:
 
 
 def orbits(s: GSet) -> list[list[int]]:
-    """Orbits as sorted lists of point indices, ordered by least element.
-    A point that no generator moves is an orbit of its own, found in C;
-    every other orbit is one walk (`_orbit`), all walks sharing one set of
-    the points already reached."""
+    """Orbits as sorted lists of point indices, ordered by least element."""
     tables = [s.table(g) for g in s.group.generators()]
-    points = range(s.size)
-    moved: set[int] = set()
-    for table in tables:
-        moved.update(itertools.compress(points, map(operator.ne, table, points)))
-    steps = [table.__getitem__ for table in tables]
-    seen: set[int] = set()
+    seen = [False] * s.size
     out = []
-    for start in points:
-        if start not in moved:
-            out.append([start])
-        elif start not in seen:
-            out.append(sorted(_orbit([start], steps, reached=seen)))
+    for start in range(s.size):
+        if seen[start]:
+            continue
+        component = [start]
+        seen[start] = True
+        queue = [start]
+        while queue:
+            idx = queue.pop()
+            for table in tables:
+                nxt = table[idx]
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    component.append(nxt)
+                    queue.append(nxt)
+        out.append(sorted(component))
     return out
 
 
@@ -1138,14 +1146,13 @@ def eq6_general(s: GSet, i: int) -> BurnsideElement:
     return total
 
 
-def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> dict:
-    """Extend a map on a generating set of h to all of h, as a dict from
-    each element's image tuple to its image's, rejecting anything that is
-    not a homomorphism.  Each pair (s, φ(s)) is one permutation of h's
-    points followed by the target's, and the walk (`_orbit`, capped at
-    |h|) closes them into their graph.  The map is accepted exactly when
-    the graph's projection to h is one-to-one and onto.  Every image must
-    have the target degree."""
+def extend_homomorphism(h: PermGroup, gen_images: dict,
+                        target_degree: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Extend a map on a generating set of h to all of h, on image tuples,
+    rejecting anything that is not a homomorphism: the pairs (s, φ(s)),
+    each one permutation of h's points followed by the target's, close
+    (`_orbit`, capped at |h|) into their graph, which must project
+    one-to-one and onto h.  Every image must have the target degree."""
     for g in gen_images:
         if g not in h:
             raise ValueError(f"generator {g} is not in the group")
@@ -1157,13 +1164,11 @@ def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> d
             f"generator images have degree {degrees.pop()}, expected {target_degree}"
         )
     d = h.degree
-    pairs = [
-        Permutation._trusted(g.images + tuple(map(d.__add__, img.images)))
-        for g, img in gen_images.items()
-    ]
+    pairs = [Permutation._trusted(g.images + tuple(map(d.__add__, img.images)))
+             for g, img in gen_images.items()]
     error = ValueError("generator images do not define a homomorphism")
     graph = _orbit([tuple(range(1, d + target_degree + 1))], [_getter(p) for p in pairs],
-                   h.order, error)
+                   (h.order, error))
     phi = {x[:d]: tuple(map((-d).__add__, x[d:])) for x in graph}
     if len(phi) != len(graph):
         raise error
@@ -1175,8 +1180,7 @@ def extend_homomorphism(h: PermGroup, gen_images: dict, target_degree: int) -> d
 def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
     """Pull the action back along a homomorphism into s's group, given by
     images of a generating set of h; omitted, h must be a subgroup of s's
-    group and the inclusion is used.  The homomorphism is read on image
-    tuples (`extend_homomorphism`)."""
+    group and the inclusion is used."""
     images = [g.images for g in h.elements]
     if gen_images is not None:
         phi = extend_homomorphism(h, gen_images, s.group.degree)

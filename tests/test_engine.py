@@ -865,6 +865,10 @@ def test_products_are_the_group_law(group):
     # the walk reaches every element once, from the identity
     steps = [engine._getter(s) for s in group.generators()]
     assert sorted(engine._orbit([group.identity.images], steps)) == [g.images for g in elements]
+    # a cap of |G| - 1 is passed by the last element, with the cap's own error
+    if group.order > 1:
+        with pytest.raises(ValueError, match="^over the cap$"):
+            engine._orbit([group.identity.images], steps, (group.order - 1, ValueError("over the cap")))
 
 
 def test_coded_rows_match_definitions_past_the_prime_table(monkeypatch):
