@@ -97,9 +97,9 @@ def __dir__():
 def clear_caches() -> None:
     """Empty the package's unbounded result caches: every cached function
     that `partitions`, `schur`, `marks` and the engine declare (each has
-    `cache_clear`), found where it is declared, and the record of the
-    powers above n that `recursive_lambda` has checked to vanish.  The
-    engine's cached functions are its named groups (`symmetric_group`,
+    `cache_clear`), found where it is declared.  Among them is the record
+    of the powers above n that `recursive_lambda` has checked to vanish.
+    The engine's cached functions are its named groups (`symmetric_group`,
     `cyclic_group`, `dihedral_group`, `young_subgroup`); each group keeps
     its own tables, keys, class products and the verified G-sets built
     over it, and these go with the group once nothing else holds it.  A
@@ -114,9 +114,6 @@ def clear_caches() -> None:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    schur = sys.modules.get(f"{__name__}.schur")
-    if schur is not None:
-        schur._vanished.clear()
 
 
 __all__ = [

@@ -49,8 +49,8 @@ Every G-set reads its action through one rule, a `Rows`.  Verified G-sets
 (natural sets, symmetric powers, block tuples, coset spaces, induced sets
 and every set built from a caller's action) evaluate the row of every
 element once, |G|·|X| entries, and the stored rows become their rule, so
-every later row or single image is a list lookup.  Verification checks that every
-row has one entry per point and every entry indexes a point, that the
+every later row is a list lookup.  Verification checks that every row
+has one entry per point and every entry indexes a point, that the
 identity's row fixes every point, and that T_{s·g} = T_s ∘ T_g for every
 generator s and every element g.  Products, disjoint unions and
 restrictions are not verified, because their axioms follow from their
@@ -58,8 +58,8 @@ verified parents: once their size is checked by arithmetic they are built
 through the plain `GSet` constructor, and stay lazy: a row is computed
 from the parents' rows when asked for.  Storing the rows of a product of
 coset spaces would take |G|·|X|·|Y| entries to answer a few orbit and
-stabilizer queries, so a product and a disjoint union also compute a
-single image from their parts' images.  Products of validated
+stabilizer queries, so a product and a disjoint union name a point's
+stabilizer from their parts' (`Rows.stabilizer`).  Products of validated
 permutations skip the bijection check, which only outside input needs.
 
 A verified construction is kept on its parent (`_kept`): a group keeps
@@ -668,18 +668,19 @@ class Rows:
     """A G-set action on point indices.
 
     ``row(gset, k)`` returns the image index of every point of gset, in
-    point order, under the group element with index k.  ``image(gset, k,
-    idx)`` returns one entry of that row, by default read from the row.
-    Stored rows, products and disjoint unions give their own, so that a
-    stabilizer sweep costs one index computation per element instead of a
-    whole row.
+    point order, under the group element with index k.  ``stabilizer(gset,
+    idx)`` lists, ascending, the indices of the elements fixing point idx,
+    by default read from the rows.  Stored rows read one entry per row, a
+    product intersects its factors' stabilizers and a disjoint union
+    returns its part's, so neither composite computes a row for it.
     """
 
-    __slots__ = ("row", "image")
+    __slots__ = ("row", "stabilizer")
 
-    def __init__(self, row, image=None):
+    def __init__(self, row, stabilizer=None):
         self.row = row
-        self.image = image or (lambda gset, k, idx: row(gset, k)[idx])
+        self.stabilizer = stabilizer or (
+            lambda gset, idx: [k for k in range(gset.group.order) if row(gset, k)[idx] == idx])
 
 
 def _pointwise(act_fn) -> Rows:
@@ -704,7 +705,7 @@ class GSet:
     """A finite G-set: an indexed point list plus an action given as rows.
 
     Row k lists the image index of every point under the group element
-    with index k, and the set reads every row and single image through its
+    with index k, and the set reads its rows and point stabilizers through its
     one rule (see `Rows`); a pointwise action function is adapted onto
     rows.  ``from_point_action`` caps the points and the table entries,
     then verifies the action: it evaluates the row of every element, checks
@@ -752,22 +753,18 @@ class GSet:
         """Image indices of all points under the element with index k."""
         return self._rule.row(self, k)
 
-    def _image(self, k: int, idx: int) -> int:
-        """Index of the image of point idx under the element with index k."""
-        return self._rule.image(self, k, idx)
-
     def act(self, g: Permutation, point):
-        """Apply one group element to one point."""
-        return self.points[self._image(self.group.index_of(g), self._index[point])]
+        """Apply one element to one point: an entry of its row (on a
+        lazy composite, the whole row is computed)."""
+        return self.points[self.row(self.group.index_of(g))[self._index[point]]]
 
     def table(self, g: Permutation) -> list[int]:
         """Point-index table of one element: its row."""
         return self.row(self.group.index_of(g))
 
     def _stabilizer_indices(self, idx: int) -> list[int]:
-        """The indices of the group elements fixing the point with index idx."""
-        image = self._rule.image
-        return [k for k in range(self.group.order) if image(self, k, idx) == idx]
+        """Indices, ascending, of the elements fixing point idx (see `Rows`)."""
+        return self._rule.stabilizer(self, idx)
 
     def _verify_action(self):
         """Evaluate the row of every element and check the axioms on the
@@ -807,7 +804,8 @@ class GSet:
                         f"action axiom fails in {self.label}: ({elements[si]})*({g}) on "
                         f"{points[k]!r}: {points[tsg[k]]!r} != {points[ts[tg[k]]]!r}"
                     )
-        self._rule = Rows(lambda gset, k: tables[k], lambda gset, k, idx: tables[k][idx])
+        self._rule = Rows(lambda gset, k: tables[k],
+                          lambda gset, idx: [k for k, t in enumerate(tables) if t[idx] == idx])
 
     def __repr__(self):
         return f"<GSet {self.label}: {self.size} points, {self.group!r}>"
@@ -845,11 +843,12 @@ def product_gset(s: GSet, t: GSet) -> GSet:
         rt = t.row(k)
         return [a + b for a in [x * nt for x in s.row(k)] for b in rt]
 
-    def image(gset, k, idx):
+    def stabilizer(gset, idx):
         a, b = divmod(idx, nt)
-        return s._image(k, a) * nt + t._image(k, b)
+        fixes_b = set(t._stabilizer_indices(b))
+        return [k for k in s._stabilizer_indices(a) if k in fixes_b]
 
-    return GSet(s.group, points, Rows(row, image), label=label)
+    return GSet(s.group, points, Rows(row, stabilizer), label=label)
 
 
 def disjoint_union(s: GSet, t: GSet) -> GSet:
@@ -865,10 +864,10 @@ def disjoint_union(s: GSet, t: GSet) -> GSet:
     def row(gset, k):
         return s.row(k) + [ns + x for x in t.row(k)]
 
-    def image(gset, k, idx):
-        return s._image(k, idx) if idx < ns else ns + t._image(k, idx - ns)
+    def stabilizer(gset, idx):
+        return s._stabilizer_indices(idx) if idx < ns else t._stabilizer_indices(idx - ns)
 
-    return GSet(s.group, points, Rows(row, image), label=label)
+    return GSet(s.group, points, Rows(row, stabilizer), label=label)
 
 
 def _coded_rule(s: GSet, labels: tuple[int, ...], coordinates) -> Rows:

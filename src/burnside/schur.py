@@ -284,12 +284,6 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     `_tables` over the rows of mu.  A transposed table has the same
     entries, so either order gives the same answer; the library calls it
     through `_pair_product`, which fixes the order."""
-    n = sum(mu)
-    # [P_(n)] is the unit, so its products need no table
-    if mu == (n,):
-        return {Partition._trusted(nu): 1}
-    if nu == (n,):
-        return {Partition._trusted(mu): 1}
     return {
         _decode(code): count
         for code, count in _tables(mu, tuple(sorted(nu))).items()
@@ -410,15 +404,18 @@ def _lambda_codes(i: int, n: int) -> dict:
     where = f"at n={n}"
     if i <= n:
         return recursion_step(i, n, product, where).coeffs
-    for j in range(_vanished.get(n, n) + 1, i + 1):
+    checked = _vanished(n)
+    for j in range(checked[0] + 1, i + 1):
         recursion_step(j, n, product, where)
-        _vanished[n] = j
+        checked[0] = j
     return {}
 
 
-# n -> the largest i such that l_{n+1}, ..., l_i at ambient n have been
-# computed and checked to vanish; _lambda_codes starts above it
-_vanished: dict[int, int] = {}
+@lru_cache(maxsize=None)
+def _vanished(n: int) -> list[int]:
+    """[the largest i such that l_{n+1}, ..., l_i at ambient n have been
+    checked to vanish], raised in place by `_lambda_codes`."""
+    return [n]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -440,8 +437,6 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     in increasing j, and a nonzero one raises TheoremViolation.
     """
     i, n = _check_power(i, n)
-    if i == 0:
-        return SchurElement.one(n)
     return SchurElement._trusted(
         n, {_decode(code): c for code, c in _lambda_codes(i, n).items()}
     )

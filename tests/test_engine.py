@@ -728,12 +728,16 @@ def _natural_image(g, point):
 
 def _rows_match(gset, image):
     """gset's row of every element equals image(g, point) on every point,
-    and so does each single lazy image."""
-    for k, g in enumerate(gset.group.elements):
+    and every point's stabilizer is the elements whose image of the point
+    is the point itself."""
+    elements = gset.group.elements
+    for k, g in enumerate(elements):
         expected = [gset.index_of(image(g, p)) for p in gset.points]
         assert gset.row(k) == expected, (gset.label, str(g))
         assert gset.table(g) == expected
-        assert [gset._image(k, idx) for idx in range(gset.size)] == expected
+    for idx, p in enumerate(gset.points):
+        fixing = [k for k, g in enumerate(elements) if image(g, p) == p]
+        assert gset._stabilizer_indices(idx) == fixing, (gset.label, p)
 
 
 ROW_CASES = [
@@ -825,6 +829,35 @@ def test_extend_homomorphism_is_the_projection_of_a_young_subgroup(n):
         assert phi == {g.images: g.images[:i] for g in h.elements}
 
 
+@pytest.mark.parametrize("group", [symmetric_group(4), dihedral_group(5)], ids=["S4", "D5"])
+def test_composite_stabilizers_match_definitions(group):
+    n = group.degree
+    nat = natural_gset(group)
+    # (x, y) x (tag, z), each coordinate moved by the natural action
+    composite = product_gset(product_gset(nat, nat), disjoint_union(nat, nat))
+
+    def image(g, point):
+        (x, y), (tag, z) = point
+        return (g(x), g(y)), (tag, g(z))
+
+    # G x S_2 inside the Young subgroup S_n x S_2, acting through its
+    # projection onto {1..n}, which forgets {n+1, n+2}
+    h = group_closure(
+        [Permutation(g.images + (n + 1, n + 2)) for g in group.generators()]
+        + [parse_permutation(f"({n + 1} {n + 2})", n + 2)]
+    )
+    assert h.order == 2 * group.order
+
+    def project(g):
+        return Permutation(g.images[:n])
+
+    down = restrict(composite, h, {g: project(g) for g in h.generators()})
+    for gset, act in ((composite, image), (down, lambda g, p: image(project(g), p))):
+        _rows_match(gset, act)
+        rebuilt = GSet.from_point_action(gset.group, gset.points, act)
+        assert decompose(gset) == decompose(rebuilt)
+
+
 def test_restrict_rows_along_a_projection():
     h = young_subgroup(2, 4)
     images = {g: Permutation(g(p) for p in (1, 2)) for g in h.generators()}
@@ -912,19 +945,24 @@ def test_empty_powers_and_block_tuples():
     assert symmetric_power(empty, 0).size == 1
 
 
-def test_disjoint_union_single_image_reads_no_row():
+def test_disjoint_union_stabilizer_reads_no_row():
     group = symmetric_group(6)
-    blocks = p_mu_gset(natural_gset(group), (1, 1, 1))
-    union = disjoint_union(blocks, natural_gset(group))
-    assert decompose(union) == decompose(blocks) + decompose(natural_gset(group))
+    nat = natural_gset(group)
+    blocks = p_mu_gset(nat, (1, 1, 1))
+    pair = product_gset(nat, nat)
+    union = disjoint_union(blocks, pair)
+    assert decompose(union) == decompose(blocks) + decompose(pair)
     rows = [union.row(k) for k in range(group.order)]
 
     def no_row(gset, k):
-        raise AssertionError("a single image built a whole row")
+        raise AssertionError("a stabilizer built a whole row")
 
-    union._rule = engine.Rows(no_row, union._rule.image)
-    for k, row in enumerate(rows):
-        assert [union._image(k, idx) for idx in range(union.size)] == row
+    # neither the union nor the product inside it computes a row
+    for composite in (union, pair):
+        composite._rule = engine.Rows(no_row, composite._rule.stabilizer)
+    for idx in range(union.size):
+        fixing = [k for k, row in enumerate(rows) if row[idx] == idx]
+        assert union._stabilizer_indices(idx) == fixing
 
 
 def test_wrong_row_on_one_non_generator_is_rejected():
@@ -977,7 +1015,7 @@ def test_verified_set_runs_its_rule_once_per_element():
     g = parse_permutation("(1 2 3)", 4)
     k = group.index_of(g)
     assert nat.row(k) == nat.table(g) == [1, 2, 0, 3]
-    assert nat.act(g, 3) == 1 and nat._image(k, 0) == 1
+    assert nat.act(g, 3) == 1 and nat.row(k)[0] == 1
     assert orbits(nat) == [[0, 1, 2, 3]]
     assert stabilizer(nat, 4).order == 6
     assert decompose(nat) == decompose(natural_gset(group))
