@@ -87,8 +87,6 @@ def __getattr__(name):
 
 
 def cmd_lambda(args) -> tuple[int, Lines, dict]:
-    if args.n < 1 or args.i < 0:
-        raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
     from .schur import closed_lambda, recursive_lambda
 
     if args.method != "both":
@@ -114,8 +112,6 @@ def cmd_lambda(args) -> tuple[int, Lines, dict]:
 
 
 def cmd_sigma(args) -> tuple[int, Lines, dict]:
-    if args.n < 1 or args.i < 0:
-        raise ValueError(f"need n >= 1 and i >= 0, got n={args.n}, i={args.i}")
     from .schur import sigma
 
     element = sigma(args.i, args.n)

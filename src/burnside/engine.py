@@ -58,8 +58,8 @@ verified parents: once their size is checked by arithmetic they are built
 through the plain `GSet` constructor, and stay lazy: a row is computed
 from the parents' rows when asked for.  Storing the rows of a product of
 coset spaces would take |G|·|X|·|Y| entries to answer a few orbit and
-stabilizer queries, so a product and a disjoint union name a point's
-stabilizer from their parts' (`Rows.stabilizer`).  Products of validated
+stabilizer queries, so each composite names a point's stabilizer from
+its parents' (`Rows.stabilizer`).  Products of validated
 permutations skip the bijection check, which only outside input needs.
 
 A verified construction is kept on its parent (`_kept`): a group keeps
@@ -669,18 +669,19 @@ class Rows:
 
     ``row(gset, k)`` returns the image index of every point of gset, in
     point order, under the group element with index k.  ``stabilizer(gset,
-    idx)`` lists, ascending, the indices of the elements fixing point idx,
-    by default read from the rows.  Stored rows read one entry per row, a
-    product intersects its factors' stabilizers and a disjoint union
-    returns its part's, so neither composite computes a row for it.
+    idx)`` lists, ascending, the indices of the elements fixing point idx.
+    Stored rows read one entry per row, a product intersects its factors'
+    stabilizers, a disjoint union returns its part's and a restriction
+    takes the preimage of its parent's, so no composite computes a row
+    for it.  A rule handed to `GSet.from_point_action` names its rows
+    alone: verification replaces it by the stored rows.
     """
 
     __slots__ = ("row", "stabilizer")
 
     def __init__(self, row, stabilizer=None):
         self.row = row
-        self.stabilizer = stabilizer or (
-            lambda gset, idx: [k for k in range(gset.group.order) if row(gset, k)[idx] == idx])
+        self.stabilizer = stabilizer
 
 
 def _pointwise(act_fn) -> Rows:
@@ -706,13 +707,14 @@ class GSet:
 
     Row k lists the image index of every point under the group element
     with index k, and the set reads its rows and point stabilizers through its
-    one rule (see `Rows`); a pointwise action function is adapted onto
-    rows.  ``from_point_action`` caps the points and the table entries,
-    then verifies the action: it evaluates the row of every element, checks
+    one rule (see `Rows`).  ``from_point_action`` caps the points and the
+    table entries, adapts a pointwise action function onto rows, then
+    verifies the action: it evaluates the row of every element, checks
     the action axioms on them, and makes the stored rows, |G|·|X| entries
     in all, the rule, so ``row``, ``act`` and ``table`` are list
-    lookups.  The plain constructor is the trusted path: it neither
-    caps nor verifies.  The composites (products, disjoint unions,
+    lookups.  The plain constructor is the trusted path: it takes a
+    `Rows` naming both its rows and its stabilizers, and neither caps
+    nor verifies.  The composites (products, disjoint unions,
     restrictions) use it after checking their size by arithmetic, take
     their axioms from their verified parents and stay lazy: each row is
     computed from the parents' rows when asked for.  A product's point
@@ -720,14 +722,14 @@ class GSet:
     more than the few orbit and stabilizer queries it answers.
     """
 
-    def __init__(self, group: PermGroup, points, act_fn, label: str = "gset"):
+    def __init__(self, group: PermGroup, points, rule: Rows, label: str = "gset"):
         self.group = group
         self.points = tuple(points)
         self.label = label
         self._index = {p: k for k, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise ValueError(f"duplicate points in {label}")
-        self._rule = act_fn if isinstance(act_fn, Rows) else _pointwise(act_fn)
+        self._rule = rule
         self._kept: dict = {}  # a power i or a Partition mu -> GSet
 
     @classmethod
@@ -738,7 +740,8 @@ class GSet:
         the cap is enforced."""
         points = list(itertools.islice(points, partitions.DEFAULT_POINT_CAP + 1))
         _check_points(len(points), label, group.order)
-        gset = cls(group, points, act_fn, label=label)
+        rule = act_fn if isinstance(act_fn, Rows) else _pointwise(act_fn)
+        gset = cls(group, points, rule, label=label)
         gset._verify_action()
         return gset
 
@@ -1128,12 +1131,11 @@ def eq6_general(s: GSet, i: int) -> BurnsideElement:
     the block-tuple sets P_mu(s), mu a partition of i (`ring.closed_terms`).
     |P_mu(s)| = |s|!/(prod mu_j! (|s| - i)!) is checked against the point
     and then the table cap for every mu before any P_mu(s) is built, so an
-    over-cap input fails at once, with the first over-cap build's error."""
+    over-cap input fails at once, with the first over-cap build's error.
+    λ^0 is the one term P_∅(s), the one-point set."""
     group = s.group
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    if i == 0:
-        return BurnsideElement.one(group)
     if i > s.size:
         return BurnsideElement.zero(group)
     terms = list(closed_terms(i))
@@ -1179,7 +1181,9 @@ def extend_homomorphism(h: PermGroup, gen_images: dict,
 def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
     """Pull the action back along a homomorphism into s's group, given by
     images of a generating set of h; omitted, h must be a subgroup of s's
-    group and the inclusion is used."""
+    group and the inclusion is used.  An element of h fixes a point iff
+    its image does, so a point's stabilizer is the preimage of its
+    stabilizer in s."""
     images = [g.images for g in h.elements]
     if gen_images is not None:
         phi = extend_homomorphism(h, gen_images, s.group.degree)
@@ -1194,7 +1198,12 @@ def restrict(s: GSet, h: PermGroup, gen_images: dict | None = None) -> GSet:
         phi_index.append(k)
     label = f"res({s.label})"
     _check_points(s.size, label)
-    return GSet(h, s.points, Rows(lambda gset, k: s.row(phi_index[k])), label=label)
+
+    def stabilizer(gset, idx):
+        fixes = set(s._stabilizer_indices(idx))
+        return [k for k, j in enumerate(phi_index) if j in fixes]
+
+    return GSet(h, s.points, Rows(lambda gset, k: s.row(phi_index[k]), stabilizer), label=label)
 
 
 def induce(s: GSet, group: PermGroup) -> GSet:

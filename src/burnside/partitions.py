@@ -176,26 +176,23 @@ def enumerate_partitions(i: int, max_parts: int | None = None) -> list[Partition
 def alpha(mu: Partition) -> tuple[int, ...]:
     """Multiplicity profile: run lengths of equal parts, largest part first.
 
-    The entries sum to the length of mu.
+    The entries sum to the length of mu, so the empty partition's profile
+    is empty.
     """
-    if len(mu) == 0:
-        raise ValueError("alpha is undefined for the empty partition")
     counts = []
-    run = 1
-    for j in range(1, len(mu)):
-        if mu[j] == mu[j - 1]:
-            run += 1
+    last = None
+    for part in mu:
+        if part == last:
+            counts[-1] += 1
         else:
-            counts.append(run)
-            run = 1
-    counts.append(run)
+            counts.append(1)
+            last = part
     return tuple(counts)
 
 
 def multinomial(mu: Partition) -> int:
-    """The exact integer l! / (a_1! ... a_k!) where l = len(mu), a = alpha(mu)."""
-    if len(mu) == 0:
-        raise ValueError("multinomial is undefined for the empty partition")
+    """The exact integer l! / (a_1! ... a_k!) where l = len(mu), a = alpha(mu):
+    the number of orderings of mu's parts, 1 for the empty partition."""
     num = factorial(len(mu))
     den = prod(factorial(a) for a in alpha(mu))
     if num % den:

@@ -111,9 +111,10 @@ class Combination(Immutable):
 
 
 def closed_terms(i: int):
-    """The terms of the closed sum for λ^i, i >= 1: (mu, (-1)^(i + len mu)
+    """The terms of the closed sum for λ^i, i >= 0: (mu, (-1)^(i + len mu)
     · multinomial(mu)) for every partition mu of i, in descending
-    lexicographic order."""
+    lexicographic order.  λ^0 is its one term, (∅, 1): P_∅ is the
+    one-point set, the unit."""
     for mu in enumerate_partitions(i):
         c = multinomial(mu)
         yield mu, -c if (i + len(mu)) % 2 else c

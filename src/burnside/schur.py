@@ -304,13 +304,13 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
 
 def _check_power(i: int, n: int) -> tuple[int, int]:
     """(i, n) read through `operator.index`, so a float is refused before
-    anything is cached.  The caches of `sigma` and both lambdas are typed:
-    (2.0, 3) equals (2, 3), and an untyped cache would answer it."""
+    anything is cached, and checked in one message, the one the CLI's
+    `lambda` and `sigma` print.  The caches of `sigma` and both lambdas
+    are typed: (2.0, 3) equals (2, 3), and an untyped cache would answer
+    it."""
     i, n = operator.index(i), operator.index(n)
-    if n < 1:
-        raise ValueError(f"ambient must be >= 1, got {n}")
-    if i < 0:
-        raise ValueError(f"power must be >= 0, got {i}")
+    if n < 1 or i < 0:
+        raise ValueError(f"need n >= 1 and i >= 0, got n={n}, i={i}")
     return i, n
 
 
@@ -334,11 +334,10 @@ def sigma(i: int, n: int) -> SchurElement:
     padded to n).  No partition of i has more than i parts, so the profile
     counts (`_profiles`) are read at min(i, n) parts: every n >= i shares
     one enumeration of the partitions of i, and a tall n < i enumerates
-    those with at most n parts.
+    those with at most n parts.  σ^0 is the unit: the one partition of 0
+    has the empty profile, which pads to (n).
     """
     i, n = _check_power(i, n)
-    if i == 0:
-        return SchurElement.one(n)
     counts: dict[Partition, int] = {}
     for profile, c in _profiles(i, min(i, n)).items():
         key = pad(profile, n)
@@ -450,8 +449,6 @@ def closed_lambda(i: int, n: int) -> SchurElement:
     of a weight above n is empty: of the two constructions, only
     `recursive_lambda` checks that the powers above n vanish."""
     i, n = _check_power(i, n)
-    if i == 0:
-        return SchurElement.one(n)
     if i > n:
         return SchurElement.zero(n)
     return SchurElement._trusted(n, {pad(mu, n): c for mu, c in closed_terms(i)})

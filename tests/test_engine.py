@@ -943,6 +943,9 @@ def test_empty_powers_and_block_tuples():
     empty = GSet.from_point_action(group, [], lambda g, p: p)
     assert symmetric_power(empty, 2).size == 0
     assert symmetric_power(empty, 0).size == 1
+    # λ^0 is the unit on every set, the empty one too, by both routes
+    for route in (eq6_general, lambda_general):
+        assert route(empty, 0) == BurnsideElement.one(group)
 
 
 def test_disjoint_union_stabilizer_reads_no_row():
@@ -963,6 +966,31 @@ def test_disjoint_union_stabilizer_reads_no_row():
     for idx in range(union.size):
         fixing = [k for k, row in enumerate(rows) if row[idx] == idx]
         assert union._stabilizer_indices(idx) == fixing
+
+
+def test_restriction_stabilizer_reads_no_row():
+    group = symmetric_group(5)
+    n = group.degree
+    nat = natural_gset(group)
+    pair, union = product_gset(nat, nat), disjoint_union(nat, nat)
+    composite = product_gset(pair, union)
+    # S_5 x S_2 acting through its projection onto {1..5}
+    h = group_closure(
+        [Permutation(g.images + (n + 1, n + 2)) for g in group.generators()]
+        + [parse_permutation(f"({n + 1} {n + 2})", n + 2)]
+    )
+    down = restrict(composite, h, {g: Permutation(g.images[:n]) for g in h.generators()})
+    rows = [down.row(k) for k in range(h.order)]
+
+    def no_row(gset, k):
+        raise AssertionError("a stabilizer built a whole row")
+
+    # neither the restricted composite nor any composite inside it computes a row
+    for lazy in (composite, pair, union):
+        lazy._rule = engine.Rows(no_row, lazy._rule.stabilizer)
+    for idx in range(down.size):
+        fixing = [k for k, row in enumerate(rows) if row[idx] == idx]
+        assert down._stabilizer_indices(idx) == fixing
 
 
 def test_wrong_row_on_one_non_generator_is_rejected():
@@ -1179,8 +1207,6 @@ REFUSALS = [
     ("eq6-power", lambda: eq6_general(natural_gset(symmetric_group(3)), -1), r"^power must be >= 0, got -1$"),
     ("to-schur-off-sn", lambda: burnside_to_schur(BurnsideElement.one(cyclic_group(3))),
      r"^burnside_to_schur needs the full symmetric group$"),
-    ("multinomial-empty", lambda: partitions.multinomial(()),
-     r"^multinomial is undefined for the empty partition$"),
     ("cli-sigma", lambda: _usage("sigma", "--n", "0", "--i", "1"),
      r"^error: need n >= 1 and i >= 0, got n=0, i=1\n$"),
     ("cli-marks", lambda: _usage("marks", "--n", "0"), r"^error: need n >= 1, got n=0\n$"),

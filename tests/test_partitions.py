@@ -15,6 +15,7 @@ from burnside.partitions import (
     pad,
     parse_partition,
 )
+from burnside.ring import closed_terms
 
 
 def partition_counts(limit):
@@ -84,8 +85,7 @@ def test_alpha_run_lengths():
     assert alpha((3, 3, 2, 1, 1, 1)) == (2, 1, 3)
     assert alpha((5,)) == (1,)
     assert alpha((1, 1, 1, 1)) == (4,)
-    with pytest.raises(ValueError):
-        alpha(())
+    assert alpha(()) == ()
 
 
 def test_alpha_sums_to_length():
@@ -98,6 +98,9 @@ def test_multinomial_examples():
     assert multinomial((3, 3, 2, 1, 1, 1)) == 60
     assert multinomial((7,)) == 1
     assert multinomial((2, 1)) == 2
+    # the empty partition has one ordering, so λ^0 is its one term, the unit
+    assert multinomial(()) == 1
+    assert list(closed_terms(0)) == [((), 1)]
 
 
 def test_multinomial_is_one_iff_single_run():
