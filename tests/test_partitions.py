@@ -98,6 +98,9 @@ def test_multinomial_examples():
     assert multinomial((3, 3, 2, 1, 1, 1)) == 60
     assert multinomial((7,)) == 1
     assert multinomial((2, 1)) == 2
+
+
+def test_multinomial_empty():
     # the empty partition has one ordering, so λ^0 is its one term, the unit
     assert multinomial(()) == 1
     assert list(closed_terms(0)) == [((), 1)]
