@@ -106,7 +106,9 @@ def clear_caches() -> None:
     module not loaded yet has nothing cached, so it is not loaded here.
     The caches only ever hold exact results, so clearing changes no answer;
     it frees their memory in a long-lived process, at the cost of
-    recomputing on the next call."""
+    recomputing on the next call.  An element's point count is kept on the
+    element itself (`ring.Combination.cardinality`), goes with it and is
+    no cache: clearing leaves it, and names nothing for it."""
     for home in ("partitions", "schur", "marks", "engine"):
         module = sys.modules.get(f"{__name__}.{home}")
         if module is None:

@@ -84,9 +84,10 @@ refuses the points and then the |G|·|X| table entries before every
 verified build; the composites store no table, so it refuses them by
 their point count alone and they are exempt from the table cap.
 
-`BurnsideElement`'s additive arithmetic, the λ recursion and the closed
-signed sum are shared with the Schur side in `ring.py`; this module gives
-the product (`burnside_mul`), the symmetric powers and the P_mu sets.
+`BurnsideElement`'s additive arithmetic, cardinality, the λ recursion and
+the closed signed sum are shared with the Schur side in `ring.py`; this
+module gives the orbit size of a class (`_key_size`), the product
+(`burnside_mul`), the symmetric powers and the P_mu sets.
 """
 
 from __future__ import annotations
@@ -1033,9 +1034,9 @@ class BurnsideElement(Combination):
     def _product(self, other):
         return burnside_mul(self, other)
 
-    def cardinality(self) -> int:
-        order = self.group.order
-        return sum(c * (order // len(key)) for key, c in self.coeffs.items())
+    def _key_size(self, key: tuple) -> int:
+        # the orbit of a class: |G| over its stabilizer's order
+        return self.base.order // len(key)
 
     def render(self) -> str:
         """One term per line: ``+c * [orbit: stabilizer-order o,

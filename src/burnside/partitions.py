@@ -86,7 +86,8 @@ class GroupFileError(ValueError):
 
 class Immutable:
     """Once built, an instance refuses every attribute set and delete, so
-    its constructors write through ``object.__setattr__``."""
+    its constructors write through ``object.__setattr__`` or through its
+    slots' own setters (`ring.Combination`)."""
 
     __slots__ = ()
 
@@ -206,9 +207,10 @@ def multinomial(mu: Partition) -> int:
 def _points(mu: Partition) -> int:
     """The size of P_mu, the tuples of disjoint blocks of sizes mu covering
     {1..|mu|}: the multinomial |mu|! / prod mu_j!.  Shared by the Schur
-    side's cardinality and the engine's size checks.  The largest part,
-    mu_1, cancels first: |mu|! / mu_1! is the product of mu_1 + 1 .. |mu|,
-    so the large part that pads a small partition to n forms no n!."""
+    side's cardinality (`SchurElement._key_size`) and the engine's size
+    checks.  The largest part, mu_1, cancels first: |mu|! / mu_1! is the
+    product of mu_1 + 1 .. |mu|, so the large part that pads a small
+    partition to n forms no n!."""
     if not mu:
         return 1
     return prod(range(mu[0] + 1, sum(mu) + 1)) // prod(map(factorial, mu[1:]))

@@ -31,10 +31,16 @@ class Combination(Immutable):
     """An immutable integer combination of basis classes over a fixed base.
     Zero coefficients are never stored, so equality compares the base and
     the coefficient map.  A subclass gives the key check (`_key`), the
-    product (`_product`) and the base-mismatch message (`_MISMATCH`,
-    formatted with the two bases)."""
+    number of points of a basis class (`_key_size`), the product
+    (`_product`) and the base-mismatch message (`_MISMATCH`, formatted
+    with the two bases).
 
-    __slots__ = ("base", "coeffs")
+    The element's point count is computed on the first `cardinality` call
+    and kept in the `_size` slot (None until then), so an answer served
+    from a cache is sized once; equality, hashing, repr and pickling
+    ignore the slot, and a copy recomputes it."""
+
+    __slots__ = ("base", "coeffs", "_size")
 
     def __init__(self, base, coeffs=None):
         """Check every key through `_key` and every coefficient through
@@ -45,8 +51,9 @@ class Combination(Immutable):
             clean[key] = clean.get(key, 0) + operator.index(c)
             if not clean[key]:
                 del clean[key]
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeffs", clean)
+        _set_base(self, base)
+        _set_coeffs(self, clean)
+        _set_size(self, None)
 
     @classmethod
     def _trusted(cls, base, coeffs: dict):
@@ -54,8 +61,9 @@ class Combination(Immutable):
         and whose values are ints, such as an arithmetic result; only the
         zero coefficients are dropped."""
         element = object.__new__(cls)
-        object.__setattr__(element, "base", base)
-        object.__setattr__(element, "coeffs", {k: c for k, c in coeffs.items() if c})
+        _set_base(element, base)
+        _set_coeffs(element, {k: c for k, c in coeffs.items() if c})
+        _set_size(element, None)
         return element
 
     @classmethod
@@ -69,6 +77,16 @@ class Combination(Immutable):
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def cardinality(self) -> int:
+        """The point count, extended linearly: the sum of each coefficient
+        times its class's `_key_size`; a ring homomorphism to Z."""
+        size = self._size
+        if size is None:
+            coeffs = self.coeffs
+            size = sum(map(operator.mul, coeffs.values(), map(self._key_size, coeffs)))
+            _set_size(self, size)
+        return size
 
     def _check(self, other):
         if not isinstance(other, type(self)):
@@ -108,6 +126,15 @@ class Combination(Immutable):
 
     # reached for other * self only when other is not of self's type
     __rmul__ = __mul__
+
+
+# The slots' own setters, which `Immutable.__setattr__` does not reach.
+# Both constructors and `cardinality` write through them: a third of the
+# cost of `object.__setattr__` with a name, which `_trusted` pays behind
+# every arithmetic result.
+_set_base, _set_coeffs, _set_size = (
+    vars(Combination)[name].__set__ for name in Combination.__slots__
+)
 
 
 def closed_terms(i: int):

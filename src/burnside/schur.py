@@ -97,10 +97,12 @@ coefficients, because equality compares the coefficient maps.  The
 refusal of every attribute set and delete lives in
 `partitions.Immutable`.  Every `TheoremViolation` check stays.
 
-The additive arithmetic of elements, the λ recursion and the closed signed
-sum are shared with the engine in `ring.py`; this module gives the
-product, the recursion's products by reciprocity, the codes of their
-keys, σ and the padding of the closed sum's keys to ambient n.
+The additive arithmetic of elements, their cardinality, the λ recursion
+and the closed signed sum are shared with the engine in `ring.py`; this
+module gives the point count of a basis class (`_key_size`, that is
+`partitions._points`), the product, the recursion's products by
+reciprocity, the codes of their keys, σ and the padding of the closed
+sum's keys to ambient n.
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ class SchurElement(Combination):
 
     __slots__ = ()
     _MISMATCH = "ambient mismatch: n={} vs n={}"
+    _key_size = staticmethod(_points)
 
     def __init__(self, ambient: int, coeffs=None):
         ambient = operator.index(ambient)
@@ -516,5 +519,7 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
 
 
 def cardinality(x: SchurElement) -> int:
-    """Underlying point count, extended linearly; a ring homomorphism to Z."""
-    return sum(c * _points(mu) for mu, c in x.coeffs.items())
+    """Underlying point count, extended linearly; a ring homomorphism to Z.
+    It is `x.cardinality()` (`ring.Combination`): counted on the first
+    call and kept on x, so a cached answer is sized once."""
+    return x.cardinality()

@@ -32,7 +32,7 @@ def test_readme_doctests():
     report = []
     result = doctest.DocTestRunner().run(test, out=report.append)
     assert result.failed == 0, "".join(report)
-    assert result.attempted == 12
+    assert result.attempted == 14
 
 
 def test_readme_cli_examples(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ integer-combination arithmetic."""
 
 import copy
 import pickle
+from math import comb
 
 import pytest
 
@@ -125,6 +126,50 @@ def test_elements_survive_pickle_and_copy(how):
     assert h == g and hash(h) == hash(g) and h.images == g.images
     with pytest.raises(AttributeError):
         h.images = g.images
+
+
+def answers_and_sizes():
+    """A cached answer of each model and its point count: σ^5([4]) has
+    C(8, 5) points and the symmetric square of {1..4} has C(5, 2)."""
+    square = decompose(engine.symmetric_power(natural_gset(symmetric_group(4)), 2))
+    return [(sigma(5, 4), comb(8, 5)), (square, comb(5, 2))]
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_a_kept_size_is_invisible(how):
+    # an element whose size has been read equals, hashes and reprs like a
+    # fresh copy; a round trip keeps none of it and counts it again
+    for x, size in answers_and_sizes():
+        assert x.cardinality() == size
+        fresh = type(x)(x.base, x.coeffs)
+        assert fresh._size is None
+        y = ROUND_TRIPS[how](x)
+        assert y._size is None
+        for z in (x, y):
+            assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+        assert y.cardinality() == size and y._size == size
+
+
+def test_a_cached_answer_is_sized_once(monkeypatch):
+    counted = []
+
+    def counting(key_size):
+        def count(*args):
+            counted.append(args[-1])
+            return key_size(*args)
+        return count
+
+    monkeypatch.setattr(SchurElement, "_key_size", staticmethod(counting(partitions._points)))
+    monkeypatch.setattr(BurnsideElement, "_key_size", counting(BurnsideElement._key_size))
+    for x, size in answers_and_sizes():
+        copied = copy.copy(x)
+        counted.clear()
+        assert copied.cardinality() == size
+        assert sorted(counted) == sorted(x.coeffs)
+        x.cardinality()
+        counted.clear()
+        assert x.cardinality() == size and copied.cardinality() == size
+        assert counted == []
 
 
 S3_KEY = (0, 1, 2, 3, 4, 5)  # the class of the one-point S_3-set

@@ -124,10 +124,18 @@ def test_schur_mul_commutative_associative():
 
 def test_cardinality_homomorphism():
     assert cardinality(SchurElement.one(6)) == 1
+    assert cardinality(SchurElement.zero(6)) == 0
     assert cardinality(B((2, 2), 4)) == 6
     for n in (3, 4, 6):
+        one, zero = SchurElement.one(n), SchurElement.zero(n)
         for a, b in zip(random_elements(n, 6, 21), random_elements(n, 6, 22)):
-            assert cardinality(schur_mul(a, b)) == cardinality(a) * cardinality(b)
+            size_a, size_b = cardinality(a), cardinality(b)
+            assert cardinality(schur_mul(a, b)) == size_a * size_b
+            assert cardinality(a + b) == size_a + size_b
+            assert cardinality(a - b) == size_a - size_b
+            assert cardinality(3 * a) == 3 * size_a and cardinality(b * -2) == -2 * size_b
+            assert cardinality(a * one) == size_a and cardinality(a + one) == size_a + 1
+            assert cardinality(a * zero) == 0 and cardinality(b + zero) == size_b
 
 
 def test_sigma_examples():
