@@ -65,7 +65,8 @@ permutations skip the bijection check, which only outside input needs.
 A verified construction is kept on its parent (`_kept`): a group keeps
 its natural set and its coset spaces, a G-set its symmetric powers and
 block-tuple sets, each built and verified on first use and alive for as
-long as its parent, so every λ^i over one set shares one σ^1..σ^i.  The
+long as its parent, so every λ^i over one set shares one σ^1..σ^i.  A
+G-set keeps its decomposition too, from the first `decompose` on.  The
 module caches no G-set itself, only the named groups (`symmetric_group`,
 ...), which `burnside.clear_caches` drops.  A kept set is sized against
 the caps again on every use.  Induced sets, composites and sets from a caller's
@@ -721,6 +722,9 @@ class GSet:
     computed from the parents' rows when asked for.  A product's point
     count is the product of its factors', so storing its rows would cost
     more than the few orbit and stabilizer queries it answers.
+
+    The first `decompose` keeps its answer in `_decomposition`, which lives
+    and dies with the set, so `burnside.clear_caches` has nothing to name.
     """
 
     def __init__(self, group: PermGroup, points, rule: Rows, label: str = "gset"):
@@ -732,6 +736,7 @@ class GSet:
             raise ValueError(f"duplicate points in {label}")
         self._rule = rule
         self._kept: dict = {}  # a power i or a Partition mu -> GSet
+        self._decomposition = None  # `decompose`'s answer, once asked for
 
     @classmethod
     def from_point_action(cls, group: PermGroup, points, act_fn, label: str = "gset") -> GSet:
@@ -1078,13 +1083,18 @@ class BurnsideElement(Combination):
 
 def decompose(s: GSet) -> BurnsideElement:
     """Express a G-set in the transitive basis: one pass over orbits,
-    classifying each by the canonical key of a point stabilizer."""
-    group = s.group
-    coeffs: dict[tuple, int] = {}
-    for orbit in orbits(s):
-        key = group._canonical_key(frozenset(s._stabilizer_indices(orbit[0])))
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return BurnsideElement._trusted(group, coeffs)
+    classifying each by the canonical key of a point stabilizer.  A G-set's
+    rows never change, so neither does its decomposition: the first call
+    keeps it on s (`_decomposition`), for as long as s lives."""
+    found = s._decomposition
+    if found is None:
+        group = s.group
+        coeffs: dict[tuple, int] = {}
+        for orbit in orbits(s):
+            key = group._canonical_key(frozenset(s._stabilizer_indices(orbit[0])))
+            coeffs[key] = coeffs.get(key, 0) + 1
+        found = s._decomposition = BurnsideElement._trusted(group, coeffs)
+    return found
 
 
 def burnside_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:

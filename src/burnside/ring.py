@@ -24,7 +24,9 @@ import operator
 from itertools import compress
 from math import isqrt, log, prod
 
-from .partitions import Immutable, Partition, TheoremViolation, enumerate_partitions, multinomial
+from .partitions import (
+    Immutable, Partition, TheoremViolation, enumerate_partitions, multinomial, slot_setters,
+)
 
 
 class Combination(Immutable):
@@ -46,11 +48,14 @@ class Combination(Immutable):
         """Check every key through `_key` and every coefficient through
         `operator.index`; repeated keys add up and zeros are dropped."""
         clean: dict = {}
+        check, index, get = self._key, operator.index, clean.get
         for key, c in (coeffs or {}).items():
-            key = self._key(base, key)
-            clean[key] = clean.get(key, 0) + operator.index(c)
-            if not clean[key]:
-                del clean[key]
+            key = check(base, key)
+            c = get(key, 0) + index(c)
+            if c:
+                clean[key] = c
+            else:
+                clean.pop(key, None)
         _set_base(self, base)
         _set_coeffs(self, clean)
         _set_size(self, None)
@@ -128,13 +133,9 @@ class Combination(Immutable):
     __rmul__ = __mul__
 
 
-# The slots' own setters, which `Immutable.__setattr__` does not reach.
-# Both constructors and `cardinality` write through them: a third of the
-# cost of `object.__setattr__` with a name, which `_trusted` pays behind
-# every arithmetic result.
-_set_base, _set_coeffs, _set_size = (
-    vars(Combination)[name].__set__ for name in Combination.__slots__
-)
+# Both constructors and `cardinality` write through the slots' own
+# setters, which `_trusted` calls behind every arithmetic result.
+_set_base, _set_coeffs, _set_size = slot_setters(Combination)
 
 
 def closed_terms(i: int):

@@ -269,11 +269,13 @@ def _tables(rows: tuple, cols: tuple) -> dict:
     return layer[()]
 
 
+@lru_cache(maxsize=None)
 def _pair_product(mu: tuple, nu: tuple) -> dict:
     """`_basis_product` of the pair in its one order, the lex-larger operand
     as rows, so that one cache entry serves both orders of a pair and the
     columns are the smaller capacities, which keep the layers of `_tables`
-    small."""
+    small.  Cached itself, so a product met again is one C-level lookup
+    from `schur_mul`; both orders hold the same dict."""
     if nu > mu:
         mu, nu = nu, mu
     return _basis_product(mu, nu)

@@ -92,6 +92,26 @@ def test_each_construction_is_verified_once(monkeypatch):
     assert verified["caller"] == 2
 
 
+def test_a_kept_set_is_decomposed_once(monkeypatch):
+    sweeps = Counter()
+    real = engine.orbits
+
+    def counted(s):
+        sweeps[s.label] += 1
+        return real(s)
+
+    monkeypatch.setattr(engine, "orbits", counted)
+    kept = symmetric_power(natural_gset(_fresh(symmetric_group(4))), 2)
+    first = decompose(kept)
+    assert decompose(kept) is first
+    assert sweeps == {kept.label: 1}
+    # the kept answer is the decomposition of a fresh copy over the same rows
+    copy = GSet.from_point_action(kept.group, kept.points,
+                                  engine.Rows(lambda gset, k: kept.row(k)), label="copy")
+    assert decompose(copy) == first
+    assert sweeps == {kept.label: 1, "copy": 1}
+
+
 @pytest.mark.parametrize("cap, value, kind", [("DEFAULT_POINT_CAP", 20, "point-count"),
                                               ("TABLE_CAP", 1000, "table-entries")])
 def test_a_lowered_cap_refuses_a_kept_set_as_a_fresh_build(monkeypatch, cap, value, kind):

@@ -370,19 +370,26 @@ def test_render_lists_cycle_types():
 
 
 def test_column_marks_equal_the_row_sum():
-    # marks_of adds cached basis columns; the row sum over the terms with
-    # the checked fixed_points is the definition
+    # marks_of adds cached basis columns, each from its first nonzero mark;
+    # the row sum over the terms with the checked fixed_points is the
+    # definition
+    inputs = []
     for n in range(1, 8):
-        order = marks_vector_order(n)
         keys = enumerate_partitions(n)
         for mu in keys:
             for nu in keys:
-                for x in (schur_mul(basis_element(mu, n), basis_element(nu, n)),
-                          2 * basis_element(mu, n) - 3 * basis_element(nu, n)):
-                    rows = tuple(sum(c * fixed_points(key, cycles) for key, c in x.coeffs.items())
-                                 for cycles in order)
-                    assert marks_of(x).values == rows
-                    assert marks_of(x).cycle_types == tuple(order)
+                inputs += [schur_mul(basis_element(mu, n), basis_element(nu, n)),
+                           2 * basis_element(mu, n) - 3 * basis_element(nu, n)]
+    # three columns that start at indices 0, 1 and 2 and cancel at (3, 1)
+    three = SchurElement(4, {(4,): 2, (3, 1): -2, (2, 2): 1})
+    assert sorted(marks._mark_column(mu)[0] for mu in three.coeffs) == [0, 1, 2]
+    assert marks_of(three).values[1] == 0
+    for x in inputs + [three]:
+        order = marks_vector_order(x.ambient)
+        rows = tuple(sum(c * fixed_points(key, cycles) for key, c in x.coeffs.items())
+                     for cycles in order)
+        assert marks_of(x).values == rows
+        assert marks_of(x).cycle_types == tuple(order)
 
 
 def test_mark_vector_record():

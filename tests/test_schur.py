@@ -261,11 +261,14 @@ def test_basis_product_counts_every_contingency_table():
 def test_both_orders_of_a_pair_share_one_cached_product():
     a, b = B((3, 2, 1), 6), B((4, 1, 1), 6)
     _basis_product.cache_clear()
+    schur._pair_product.cache_clear()
     assert schur_mul(a, b) == schur_mul(b, a)
     assert leading_term_check((8, 1), (7, 2), 9, 4) == leading_term_check((7, 2), (8, 1), 9, 4) | {
         "kappa1": [8, 1], "kappa2": [7, 2], "degrees": [1, 2]}
     info = _basis_product.cache_info()
     assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+    # both orders of the cached entry point return the one product
+    assert schur._pair_product((3, 2, 1), (4, 1, 1)) is schur._pair_product((4, 1, 1), (3, 2, 1))
 
 
 def row_fills(total, bounds):
@@ -397,8 +400,8 @@ def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
-              schur._first_row, schur._class_fills, schur._points, schur._vanished,
-              marks._placements, marks.marks_vector_order, marks._mark_column)
+              schur._pair_product, schur._first_row, schur._class_fills, schur._points,
+              schur._vanished, marks._placements, marks.marks_vector_order, marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
