@@ -141,14 +141,14 @@ class Permutation(Immutable):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        _set_images(self, images)
 
     @classmethod
     def _trusted(cls, images: tuple) -> Permutation:
         """Wrap an image tuple already known to be a bijection, such as a
         product or inverse of validated permutations."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
+        _set_images(perm, images)
         return perm
 
     def __reduce__(self):
@@ -229,6 +229,8 @@ class Permutation(Immutable):
     def __lt__(self, other):
         return self.images < other.images
 
+
+(_set_images,) = partitions.slot_setters(Permutation)
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -1133,7 +1135,9 @@ def lambda_general(s: GSet, i: int) -> BurnsideElement:
     lam = [one]
     where = f"of {s.label} (size {s.size})"
     for m in range(1, i + 1):
-        lam.append(recursion_step(m, s.size, lambda j, k: lam[j] * sig[k], where))
+        coeffs = recursion_step(m, s.size, lambda j, k: (lam[j] * sig[k]).coeffs, where,
+                                lambda coeffs: BurnsideElement._trusted(group, coeffs).render())
+        lam.append(BurnsideElement._trusted(group, coeffs))
     return lam[i]
 
 

@@ -86,9 +86,9 @@ class GroupFileError(ValueError):
 
 class Immutable:
     """Once built, an instance refuses every attribute set and delete, so
-    its constructors write through its slots' own setters (`slot_setters`;
-    `ring.Combination`, `marks.MarkVector`) or through
-    ``object.__setattr__`` (`engine.Permutation`)."""
+    its constructors write through its slots' own setters, the one way to
+    write them (`slot_setters`; `ring.Combination`, `marks.MarkVector`,
+    `engine.Permutation`)."""
 
     __slots__ = ()
 

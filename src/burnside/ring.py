@@ -8,9 +8,10 @@ arithmetic (`Combination`) and the paper's two routes to λ^i(S),
 - the closed signed sum λ^i(S) = Σ_{mu ⊢ i} (-1)^(i + len mu) ·
   multinomial(mu) · [P_mu(S)] (`closed_terms`).
 
-Each model supplies the recursion's products λ^j·σ^k (the engine
-multiplies in its basis; the Schur side uses reciprocity), σ^k and
-[P_mu(S)].
+The step sums coefficient maps and names no element type.  Each model
+gives the maps of its products λ^j·σ^k (the engine multiplies in its
+basis; the Schur side uses reciprocity over codes) and wraps the map the
+step returns; it also gives σ^k and [P_mu(S)].
 
 Both models also key finite multisets by products of primes, so they
 share one table of primes here (`_PRIMES`, extended by `_primes`): the
@@ -148,23 +149,23 @@ def closed_terms(i: int):
         yield mu, -c if (i + len(mu)) % 2 else c
 
 
-def recursion_step(i: int, size: int, product, where: str) -> Combination:
-    """λ^i, i >= 1, by the recursion, from product(j, k) = λ^j·σ^k (j < i,
-    j + k = i); how the product is formed is the model's own.  The caller
-    has checked that λ^j vanishes for size < j < i, so only j <= size is
-    summed: O(size) products for any i.  λ^i must vanish above size too;
-    that is a theorem, so a nonzero value raises TheoremViolation naming
-    the power and `where` it was computed."""
+def recursion_step(i: int, size: int, product, where: str, render) -> dict:
+    """The coefficient map of λ^i, i >= 1, by the recursion, from the maps
+    product(j, k) of λ^j·σ^k (j < i, j + k = i), each added into one sum
+    once; zeros are dropped once, at the end.  The caller has checked that
+    λ^j vanishes for size < j < i, so only j <= size is summed: O(size)
+    products for any i.  λ^i must vanish above size too; that is a theorem,
+    so a nonzero value raises TheoremViolation naming the power, `where` it
+    was computed and the value as render(map) writes it."""
     out: dict = {}
     for j in range(min(i, size + 1)):
         sign = 1 if (i - j) % 2 else -1
-        term = product(j, i - j)
-        for key, c in term.coeffs.items():
+        for key, c in product(j, i - j).items():
             out[key] = out.get(key, 0) + sign * c
-    value = term._trusted(term.base, out)
-    if i > size and not value.is_zero():
-        raise TheoremViolation(f"lambda^{i} {where} must vanish, got {value.render()}")
-    return value
+    out = {key: c for key, c in out.items() if c}
+    if i > size and out:
+        raise TheoremViolation(f"lambda^{i} {where} must vanish, got {render(out)}")
+    return out
 
 
 # _PRIMES[m] is the m-th prime; index 0 holds 1 and is never read.  The

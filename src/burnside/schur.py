@@ -46,10 +46,10 @@ the finite multisets of positive parts onto the positive integers, and
 the code of a union of multisets is the product of their codes: joining
 two keys is one multiplication of ints, where a tuple key needs a sort
 and a new tuple.  `_tables` keys the tables by the code of their
-entries, and `_basis_product` decodes each key once into a `Partition`
-(`_decode`); the recursion (`_lambda_codes`, `_lambda_times`) keys its
-values by codes, and `recursive_lambda` decodes its answer once.  So
-every public value keeps its `Partition` keys.
+entries, and `_basis_product` decodes each key once into a `Partition`;
+the recursion (`_lambda_codes`, `_lambda_times`) keys its values by
+codes, and `recursive_lambda` decodes its answer once.  Both go through
+`_decoded`, so every public value keeps its `Partition` keys.
 
 The λ recursion counts no table.  Its products λ^j([n])·σ^k([n]) expand
 σ^k([n]) = sum b_nu [P_nu] and multiply each [P_nu] by λ^j([n]) through
@@ -79,10 +79,9 @@ Every nu other than (n) has all its parts below n, and [P_(n)] is the
 unit, whose product is λ^j([n]) itself (j < i).  So the recursion at n
 reads σ at n and λ at the smaller ambients, and no contingency table.
 The tables still give `schur_mul`, hence `*`, `mul` and
-`leading_term_check`.  The recursion's values and products are
-combinations over code keys (`_Coded`), so `ring.recursion_step` sums
-and checks them as it does any model's, and its message for a power that
-fails to vanish decodes them.
+`leading_term_check`.  `ring.recursion_step` sums the recursion's code
+maps as it does any model's, and its message for a power that fails to
+vanish decodes them (`_decoded`).
 
 The public constructor `SchurElement(n, coeffs)` reads n through
 `operator.index`, checks n >= 1 and hands the rest to
@@ -269,6 +268,11 @@ def _tables(rows: tuple, cols: tuple) -> dict:
     return layer[()]
 
 
+def _decoded(codes: dict) -> dict:
+    """{partition: coefficient} for a map {code of a partition: coefficient}."""
+    return {_decode(code): c for code, c in codes.items()}
+
+
 @lru_cache(maxsize=None)
 def _pair_product(mu: tuple, nu: tuple) -> dict:
     """`_basis_product` of the pair in its one order, the lex-larger operand
@@ -289,10 +293,7 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     `_tables` over the rows of mu.  A transposed table has the same
     entries, so either order gives the same answer; the library calls it
     through `_pair_product`, which fixes the order."""
-    return {
-        _decode(code): count
-        for code, count in _tables(mu, tuple(sorted(nu))).items()
-    }
+    return _decoded(_tables(mu, tuple(sorted(nu))))
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
@@ -350,19 +351,6 @@ def sigma(i: int, n: int) -> SchurElement:
     return SchurElement._trusted(n, counts)
 
 
-class _Coded(Combination):
-    """A combination over the ambient n whose keys are the codes of
-    partitions of n: the recursion's values and products.  Only its
-    rendering decodes, for the message of a power that fails to vanish."""
-
-    __slots__ = ()
-
-    def render(self) -> str:
-        return SchurElement._trusted(
-            self.base, {_decode(code): c for code, c in self.coeffs.items()}
-        ).render()
-
-
 @lru_cache(maxsize=None)
 def _lambda_times(parts: tuple, j: int) -> dict:
     """[P_parts]·λ^j([n]) as {code: count}, for a partition `parts` of n
@@ -393,7 +381,12 @@ def _lambda_codes(i: int, n: int) -> dict:
     coefficient}, for checked ints i >= 0 and n >= 1; for i > n it checks
     that every l_j with n < j <= i vanishes, in increasing j, and is
     empty.  Each product l_j s_k expands s_k = sum b_nu [P_nu] and
-    multiplies every [P_nu] by l_j through reciprocity (`_lambda_times`)."""
+    multiplies every [P_nu] by l_j through reciprocity (`_lambda_times`).
+
+    Each (i, n) is computed on its own: for i <= n the recursion at n reads
+    λ only at the smaller ambients, besides λ^0 at n.  Extending l_0, ...,
+    l_i per ambient asks `recursive_lambda(20, 20)` for 5,048 `_lambda_times`
+    states, not 4,857, and ran it 16% slower (`BENCH_recursion_maps.json`)."""
     if i == 0:
         return {_encode((n,)): 1}
 
@@ -403,14 +396,17 @@ def _lambda_codes(i: int, n: int) -> dict:
         for nu, b in sigma(k, n).coeffs.items():
             for code, c in _lambda_times(nu, j).items():
                 out[code] = out.get(code, 0) + b * c
-        return _Coded._trusted(n, out)
+        return out
+
+    def render(codes):
+        return SchurElement._trusted(n, _decoded(codes)).render()
 
     where = f"at n={n}"
     if i <= n:
-        return recursion_step(i, n, product, where).coeffs
+        return recursion_step(i, n, product, where, render)
     checked = _vanished(n)
     for j in range(checked[0] + 1, i + 1):
-        recursion_step(j, n, product, where)
+        recursion_step(j, n, product, where, render)
         checked[0] = j
     return {}
 
@@ -441,9 +437,7 @@ def recursive_lambda(i: int, n: int) -> SchurElement:
     in increasing j, and a nonzero one raises TheoremViolation.
     """
     i, n = _check_power(i, n)
-    return SchurElement._trusted(
-        n, {_decode(code): c for code, c in _lambda_codes(i, n).items()}
-    )
+    return SchurElement._trusted(n, _decoded(_lambda_codes(i, n)))
 
 
 @lru_cache(maxsize=None, typed=True)

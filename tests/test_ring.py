@@ -25,6 +25,7 @@ from burnside.engine import (
 )
 from burnside.marks import marks_of
 from burnside.partitions import Partition
+from burnside.ring import recursion_step
 from burnside.schur import SchurElement, closed_lambda, recursive_lambda, sigma
 
 
@@ -217,3 +218,21 @@ def test_a_refused_delete_leaves_the_cached_lambda_whole():
     with pytest.raises(AttributeError, match="^SchurElement is immutable$"):
         del closed_lambda(2, 3).coeffs
     assert closed_lambda(2, 3).render() == before
+
+
+def test_the_recursion_step_sums_plain_maps():
+    # a toy model: the point counts of a 4-point set, one key, no element type
+    def product(j, k):
+        return {"*": comb(4, j) * comb(4 + k - 1, k)}
+
+    for i in range(1, 5):
+        assert recursion_step(i, 4, product, "in the toy model", repr) == {"*": comb(4, i)}
+    for i in range(5, 9):
+        assert recursion_step(i, 4, product, "in the toy model", repr) == {}
+
+    def broken(j, k):
+        return {"*": product(j, k)["*"] + (j == 0)}
+
+    with pytest.raises(partitions.TheoremViolation,
+                       match=r"^lambda\^5 in the toy model must vanish, got \{'\*': 1\}$"):
+        recursion_step(5, 4, broken, "in the toy model", repr)

@@ -65,6 +65,7 @@ def test_theorem_checks_survive_optimize_flag():
     report = result["report"]
     assert report["recursive_lambda"].startswith("TheoremViolation: lambda^3 at n=2")
     assert report["lambda_general"].startswith("TheoremViolation: lambda^3 of natural")
+    assert "must vanish, got +1 * [orbit: stabilizer-order 1" in report["lambda_general"]
     assert report["multinomial"].startswith("TheoremViolation: multinomial of [2,1]")
     code, document = report["cli"]
     assert code == 1
