@@ -283,7 +283,7 @@ def marks_of(x: SchurElement) -> MarkVector:
     arithmetic runs inline, and `map` over `operator.add` and
     `operator.mul` measured slower than it at n <= 8 and at n = 12, 16
     and 20."""
-    n = x.ambient
+    n = x.base
     order = marks_vector_order(n)
     values = [0] * len(order)
     for mu, c in x.coeffs.items():

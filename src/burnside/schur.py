@@ -88,7 +88,18 @@ The public constructor `SchurElement(n, coeffs)` reads n through
 `ring.Combination`'s one checked constructor, which passes every key
 through `SchurElement._key` (a partition of n) and every coefficient
 through `operator.index`; `basis_element`, `degree` and
-`leading_term_check` check their arguments too.  The elements the
+`leading_term_check` check their arguments too.  The key check, not
+the element, is memoized per (n, key) (`_basis_key`).  The saving needs
+repeated keys: a pass of the benchmark's library session checks 58
+distinct keys about 16,600 times, while a `mul` job from the command
+line checks its two keys once each (`BENCH_checked_keys.json`).  Only
+a tuple or `Partition` whose parts are all exact ints is looked up,
+tested as one set of types at C speed:
+(2.0, 1) equals (2, 1) and hashes alike, so a memo keyed by equality
+would accept the float part the check refuses.  A list, a float, bool or
+int-subclass part goes through the uncached body
+(`_basis_key.__wrapped__`).  A refused key raises and is not stored, so
+it is refused on every call.  The elements the
 library builds from keys it already holds (sums, differences, negations,
 integer multiples, `schur_mul`, `sigma` and both lambdas) skip those
 checks through `SchurElement._trusted`, which only drops zero
@@ -137,10 +148,11 @@ class SchurElement(Combination):
 
     @staticmethod
     def _key(ambient: int, key) -> Partition:
-        key = Partition(key)
-        if key.weight != ambient:
-            raise ValueError(f"basis key {key} is not a partition of {ambient}")
-        return key
+        # only a tuple of exact ints is looked up: (2.0, 1) equals (2, 1)
+        # and hashes alike, and the memo would answer it
+        if type(key) in _KEY_TYPES and _INT_PARTS.issuperset(map(type, key)):
+            return _basis_key(ambient, key)
+        return _basis_key.__wrapped__(ambient, key)
 
     @property
     def ambient(self) -> int:
@@ -181,6 +193,21 @@ class SchurElement(Combination):
 
     def __repr__(self):
         return f"<SchurElement {self.render()}>"
+
+
+_KEY_TYPES = frozenset((tuple, Partition))
+_INT_PARTS = frozenset((int,))
+
+
+@lru_cache(maxsize=None)
+def _basis_key(ambient: int, key) -> Partition:
+    """`key` checked as a partition of `ambient`: the one check of a
+    caller's basis key, memoized for exact-int keys only (see the module
+    docstring and `SchurElement._key`)."""
+    key = Partition(key)
+    if key.weight != ambient:
+        raise ValueError(f"basis key {key} is not a partition of {ambient}")
+    return key
 
 
 def basis_element(mu, n: int) -> SchurElement:

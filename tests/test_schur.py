@@ -401,7 +401,8 @@ def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
               schur._pair_product, schur._first_row, schur._class_fills, schur._points,
-              schur._vanished, marks._placements, marks.marks_vector_order, marks._mark_column)
+              schur._vanished, schur._basis_key, marks._placements, marks.marks_vector_order,
+              marks._mark_column)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
@@ -522,6 +523,68 @@ def test_checked_constructor_still_rejects_bad_keys():
             SchurElement.one(n)
         with pytest.raises(ValueError):
             SchurElement.zero(n)
+
+
+class _Part(int):
+    """An int subclass, as a part of a caller's key."""
+
+
+KEY_CASES = [
+    # (case, the call, (ambient, key) of its valid twin, the answer of
+    # the uncached check: the coefficient map, or the exception type and
+    # message)
+    ("float-part", lambda: SchurElement(3, {(2.0, 1): 1}).coeffs, (3, (2, 1)),
+     (TypeError, "'float' object cannot be interpreted as an integer")),
+    ("bool-parts", lambda: SchurElement(3, {(True, True, True): 1}).coeffs, (3, (1, 1, 1)),
+     {(1, 1, 1): 1}),
+    ("int-subclass-part", lambda: SchurElement(3, {(_Part(2), 1): 1}).coeffs, (3, (2, 1)),
+     {(2, 1): 1}),
+    ("list", lambda: {SchurElement._key(3, [2, 1]): 1}, (3, (2, 1)), {(2, 1): 1}),
+    ("increasing", lambda: SchurElement(3, {(1, 2): 1}).coeffs, (3, (2, 1)),
+     (ValueError, "partition parts must be weakly decreasing: (1, 2)")),
+    ("zero-part", lambda: SchurElement(3, {(0, 3): 1}).coeffs, (3, (3,)),
+     (ValueError, "partition parts must be >= 1, got 0")),
+    ("other-weight", lambda: SchurElement(3, {(3, 1): 1}).coeffs, (4, (3, 1)),
+     (ValueError, "basis key Partition((3, 1)) is not a partition of 3")),
+    ("empty", lambda: SchurElement(3, {(): 1}).coeffs, (3, (3,)),
+     (ValueError, "basis key Partition(()) is not a partition of 3")),
+    ("float-coefficient", lambda: SchurElement(3, {(2, 1): 1.5}).coeffs, (3, (2, 1)),
+     (TypeError, "'float' object cannot be interpreted as an integer")),
+]
+
+
+def _key_outcome(call):
+    """What a call answers: each key with its type and its parts' types,
+    and its coefficient; or the exception's type and message."""
+    try:
+        coeffs = call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(key, type(key), [type(p) for p in key], c) for key, c in coeffs.items()]
+
+
+@pytest.mark.parametrize("call, twin, expected", [c[1:] for c in KEY_CASES],
+                         ids=[c[0] for c in KEY_CASES])
+def test_a_key_is_checked_alike_cold_and_after_its_twin_is_memoized(call, twin, expected):
+    # the checked keys are memoized; (2.0, 1) equals (2, 1) and hashes
+    # alike, so a memo keyed by equality alone answers it once (2, 1) is in
+    if isinstance(expected, dict):
+        expected = _key_outcome(lambda: {Partition(k): c for k, c in expected.items()})
+    burnside.clear_caches()
+    assert _key_outcome(call) == expected
+    ambient, key = twin
+    SchurElement(ambient, {key: 1})
+    assert schur._basis_key.cache_info().currsize
+    assert _key_outcome(call) == expected
+
+
+def test_a_repeated_exact_int_key_is_a_cache_hit():
+    burnside.clear_caches()
+    SchurElement(3, {(2, 1): 1})
+    hits = schur._basis_key.cache_info().hits
+    x = SchurElement(3, {(2, 1): 2, Partition((1, 1, 1)): 1})
+    assert schur._basis_key.cache_info().hits == hits + 1
+    assert x.coeffs == {(2, 1): 2, (1, 1, 1): 1}
 
 
 def test_recursive_lambda_checks_every_power_in_the_tail(monkeypatch):
