@@ -98,7 +98,9 @@ def clear_caches() -> None:
     """Empty the package's unbounded result caches: every cached function
     that `partitions`, `schur`, `marks` and the engine declare (each has
     `cache_clear`), found where it is declared.  Among them is the record
-    of the powers above n that `recursive_lambda` has checked to vanish.
+    of the powers above n that `recursive_lambda` has checked to vanish,
+    and the per-ambient tables of checked keys, basis products and mark
+    columns, each a cached function of n.
     The engine's cached functions are its named groups (`symmetric_group`,
     `cyclic_group`, `dihedral_group`, `young_subgroup`); each group keeps
     its own tables, keys, class products and the verified G-sets built

@@ -351,6 +351,9 @@ class PermGroup:
         self._key_cache: dict[frozenset, tuple[int, ...]] = {}
         self._kept: dict = {}  # "natural" or a coset space's key -> GSet
         self._class_product_cache: dict[tuple, dict] = {}
+        # BurnsideElement's record of the group: the base as stored, and
+        # the memo of accepted class keys, {key: checked key}
+        self._record = (self, {})
 
     @property
     def order(self) -> int:
@@ -1010,10 +1013,13 @@ class BurnsideElement(Combination):
     coefficients are dropped (`ring.Combination`); the product is
     `burnside_mul`.  The constructor refuses a key that is not the
     canonical key of a subgroup (`PermGroup._is_class_key`), whatever its
-    coefficient."""
+    coefficient.  Its record of a group (`_record`) is the pair the group
+    makes: the group and its memo of accepted class keys, which
+    `ring.Combination`'s constructor reads for a tuple of exact ints."""
 
     __slots__ = ()
     _MISMATCH = "group mismatch"
+    _record = staticmethod(operator.attrgetter("_record"))
 
     @staticmethod
     def _key(group: PermGroup, key) -> tuple:

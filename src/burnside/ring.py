@@ -33,10 +33,22 @@ from .partitions import (
 class Combination(Immutable):
     """An immutable integer combination of basis classes over a fixed base.
     Zero coefficients are never stored, so equality compares the base and
-    the coefficient map.  A subclass gives the key check (`_key`), the
-    number of points of a basis class (`_key_size`), the product
-    (`_product`) and the base-mismatch message (`_MISMATCH`, formatted
-    with the two bases).
+    the coefficient map.  A subclass gives the record of a base
+    (`_record`), the key check (`_key`), the number of points of a basis
+    class (`_key_size`), the product (`_product`) and the base-mismatch
+    message (`_MISMATCH`, formatted with the two bases).
+
+    The constructor is the one checked constructor of both models.
+    `_record(base)` is one C-level call that gives the base as stored and
+    its memo of accepted keys, {key: checked key}: the Schur side's is a
+    typed cache over the ambient, whose miss checks it, and the engine's
+    is a pair its group makes.  A key whose type is exactly a tuple or a
+    `Partition` and whose parts are all exact ints is read from the memo;
+    only a miss calls `_key`, and only then is the key stored.  Every
+    other key, such as a list or a key with a float, bool or int-subclass
+    part, is checked by `_key` on every call: (2.0, 1) equals (2, 1) and
+    hashes alike, so the memo would answer it.  A refused key raises and
+    is never stored.
 
     The element's point count is computed on the first `cardinality` call
     and kept in the `_size` slot (None until then), so an answer served
@@ -46,17 +58,31 @@ class Combination(Immutable):
     __slots__ = ("base", "coeffs", "_size")
 
     def __init__(self, base, coeffs=None):
-        """Check every key through `_key` and every coefficient through
-        `operator.index`; repeated keys add up and zeros are dropped."""
+        """Read the base's record, check every key (through the memo, or
+        `_key`) and every coefficient through `operator.index`; repeated
+        keys add up and zeros are dropped."""
+        try:
+            record = self._record(base)
+        except TypeError:
+            # an unhashable base cannot be looked up in the Schur side's
+            # typed cache: its uncached check refuses it, outside this
+            # handler, with its own message
+            record = None
+        base, memo = record or self._record.__wrapped__(base)
         clean: dict = {}
-        check, index, get = self._key, operator.index, clean.get
+        check, index, get, known = self._key, operator.index, clean.get, memo.get
         for key, c in (coeffs or {}).items():
-            key = check(base, key)
-            c = get(key, 0) + index(c)
-            if c:
-                clean[key] = c
+            if type(key) in _KEY_TYPES and _INT_PARTS.issuperset(map(type, key)):
+                checked = known(key)
+                if checked is None:
+                    checked = memo[key] = check(base, key)
             else:
-                clean.pop(key, None)
+                checked = check(base, key)
+            c = get(checked, 0) + index(c)
+            if c:
+                clean[checked] = c
+            else:
+                clean.pop(checked, None)
         _set_base(self, base)
         _set_coeffs(self, clean)
         _set_size(self, None)
@@ -137,6 +163,9 @@ class Combination(Immutable):
 # Both constructors and `cardinality` write through the slots' own
 # setters, which `_trusted` calls behind every arithmetic result.
 _set_base, _set_coeffs, _set_size = slot_setters(Combination)
+# the key types the memo of accepted keys is read for, tested at C speed
+_KEY_TYPES = frozenset((tuple, Partition))
+_INT_PARTS = frozenset((int,))
 
 
 def closed_terms(i: int):

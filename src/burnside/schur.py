@@ -23,10 +23,10 @@ counted under it.  [1^n]*[1^n], for example, has n! matrices but only n
 states.  Three choices keep that loop small:
 
 - One orientation.  A transposed matrix has the same entries, so
-  `_pair_product` hands `_basis_product` as rows the lex-larger
-  partition, whose largest part is at least the other's.  Both orders
-  of a pair then share one cached product, and the columns are the
-  smaller capacities, which keep the layers small.
+  `_product` hands `_basis_product` as rows the lex-larger partition,
+  whose largest part is at least the other's.  Both orders of a pair
+  then share one product in the ambient's table (`_products`), and the
+  columns are the smaller capacities, which keep the layers small.
 - Shared first-row fills.  The fills of a row, grouped by the capacities
   they leave and the row's nonzero entries, depend only on the row total
   and the sorted column sums, not on the other rows.  `_first_row`
@@ -83,23 +83,29 @@ The tables still give `schur_mul`, hence `*`, `mul` and
 maps as it does any model's, and its message for a power that fails to
 vanish decodes them (`_decoded`).
 
-The public constructor `SchurElement(n, coeffs)` reads n through
-`operator.index`, checks n >= 1 and hands the rest to
-`ring.Combination`'s one checked constructor, which passes every key
-through `SchurElement._key` (a partition of n) and every coefficient
-through `operator.index`; `basis_element`, `degree` and
-`leading_term_check` check their arguments too.  The key check, not
-the element, is memoized per (n, key) (`_basis_key`).  The saving needs
-repeated keys: a pass of the benchmark's library session checks 58
-distinct keys about 16,600 times, while a `mul` job from the command
-line checks its two keys once each (`BENCH_checked_keys.json`).  Only
-a tuple or `Partition` whose parts are all exact ints is looked up,
-tested as one set of types at C speed:
-(2.0, 1) equals (2, 1) and hashes alike, so a memo keyed by equality
-would accept the float part the check refuses.  A list, a float, bool or
-int-subclass part goes through the uncached body
-(`_basis_key.__wrapped__`).  A refused key raises and is not stored, so
-it is refused on every call.  The elements the
+The public constructor `SchurElement(n, coeffs)` is `ring.Combination`'s
+one checked constructor.  It reads n's record (`_ambient`, a typed cache
+whose miss reads n through `operator.index` and checks n >= 1), passes
+every key through the record's memo or `SchurElement._key` (a partition
+of n) and every coefficient through `operator.index`; `basis_element`,
+`degree` and `leading_term_check` check their arguments too.  The key
+check, not the element, is memoized, in one table per ambient.  The
+saving needs repeated keys: a pass of the benchmark's library session
+checks 58 distinct keys about 16,600 times, while a `mul` job from the
+command line checks its two keys once each (`BENCH_checked_keys.json`).
+Only a tuple or `Partition` whose parts are all exact ints is looked up,
+tested as one set of types at C speed: (2.0, 1) equals (2, 1) and hashes
+alike, so a memo keyed by equality would accept the float part the check
+refuses.  A list, a float, bool or int-subclass part goes through `_key`
+on every call, and so does a refused key, which raises and is not
+stored.
+
+Each ambient has one table of each memo, found by one int-keyed lookup
+per call, after which a call reads plain dicts: the record of accepted
+keys (`_ambient`), the basis products met so far (`_products`, read by
+`schur_mul` and `leading_term_check`) and, in `marks`, the mark
+columns (`marks._columns`).  `burnside.clear_caches` empties them.  The
+elements the
 library builds from keys it already holds (sums, differences, negations,
 integer multiples, `schur_mul`, `sigma` and both lambdas) skip those
 checks through `SchurElement._trusted`, which only drops zero
@@ -118,6 +124,7 @@ sum's keys to ambient n.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 from math import comb
@@ -128,31 +135,45 @@ from .partitions import (
 from .ring import Combination, _decode, _encode, closed_terms, recursion_step
 
 
+@lru_cache(maxsize=None, typed=True)
+def _ambient(ambient) -> tuple[int, dict]:
+    """The record of an ambient: (the ambient as an int, its memo of
+    accepted basis keys, {key: Partition}), one per ambient n >= 1.  The
+    cache is typed, so 2.0, which equals 2 and hashes alike, misses and is
+    refused by `operator.index`, as 0 and -1 are by the bound; a refusal
+    raises and is not stored, so it is refused on every call.  An int-like
+    ambient such as True shares the record of its int."""
+    n = operator.index(ambient)
+    if n < 1:
+        raise ValueError(f"ambient must be >= 1, got {n}")
+    if type(ambient) is not int:
+        return _ambient(n)
+    return n, {}
+
+
 class SchurElement(Combination):
     """An integer linear combination of basis classes for a fixed ambient n.
 
     Immutable; zero coefficients are never stored, so equality is plain
-    comparison of the ambient and the coefficient map (`ring.Combination`);
-    the product is `schur_mul`.
+    comparison of the ambient and the coefficient map (`ring.Combination`,
+    whose constructor checks the ambient through `_record` and each key
+    through `_key`); the product is `schur_mul`.
     """
 
     __slots__ = ()
     _MISMATCH = "ambient mismatch: n={} vs n={}"
     _key_size = staticmethod(_points)
-
-    def __init__(self, ambient: int, coeffs=None):
-        ambient = operator.index(ambient)
-        if ambient < 1:
-            raise ValueError(f"ambient must be >= 1, got {ambient}")
-        super().__init__(ambient, coeffs)
+    _record = staticmethod(_ambient)
 
     @staticmethod
     def _key(ambient: int, key) -> Partition:
-        # only a tuple of exact ints is looked up: (2.0, 1) equals (2, 1)
-        # and hashes alike, and the memo would answer it
-        if type(key) in _KEY_TYPES and _INT_PARTS.issuperset(map(type, key)):
-            return _basis_key(ambient, key)
-        return _basis_key.__wrapped__(ambient, key)
+        """`key` checked as a partition of `ambient`: the one check of a
+        caller's basis key, called only for a key that the ambient's memo
+        does not hold or may not be read for (see the module docstring)."""
+        key = Partition(key)
+        if key.weight != ambient:
+            raise ValueError(f"basis key {key} is not a partition of {ambient}")
+        return key
 
     @property
     def ambient(self) -> int:
@@ -195,21 +216,6 @@ class SchurElement(Combination):
         return f"<SchurElement {self.render()}>"
 
 
-_KEY_TYPES = frozenset((tuple, Partition))
-_INT_PARTS = frozenset((int,))
-
-
-@lru_cache(maxsize=None)
-def _basis_key(ambient: int, key) -> Partition:
-    """`key` checked as a partition of `ambient`: the one check of a
-    caller's basis key, memoized for exact-int keys only (see the module
-    docstring and `SchurElement._key`)."""
-    key = Partition(key)
-    if key.weight != ambient:
-        raise ValueError(f"basis key {key} is not a partition of {ambient}")
-    return key
-
-
 def basis_element(mu, n: int) -> SchurElement:
     """The basis class of mu padded to ambient n."""
     mu = Partition(mu)
@@ -246,10 +252,11 @@ def _class_fills(c: int, m: int, amount: int) -> tuple:
 @lru_cache(maxsize=None)
 def _first_row(total: int, cols: tuple) -> dict:
     """The fills of a row with sum `total` over the columns of capacities
-    `cols` (sorted ascending), grouped: {(capacities left, sorted; the row's
-    nonzero entries, sorted): number of fills}.  The amount is split over
-    the capacity classes of `cols`, and each class takes one of its
-    `_class_fills` options."""
+    `cols` (sorted ascending), grouped: {(capacities left, sorted; the code
+    of the row's nonzero entries): number of fills}.  The amount is split
+    over the capacity classes of `cols`, and each class takes one of its
+    `_class_fills` options.  The entries are kept as their code (`_encode`),
+    so `_tables` joins them to a partial matrix by one multiplication."""
     classes = [(c, len(tuple(run))) for c, run in groupby(cols)]
     room = [sum(c * m for c, m in classes[j:]) for j in range(len(classes) + 1)]
     partial = [(total, (), (), 1)]  # (amount left, entries, left, fills)
@@ -264,7 +271,7 @@ def _first_row(total: int, cols: tuple) -> dict:
         partial = grown
     groups: dict[tuple, int] = {}
     for _, entries, left, ways in partial:
-        key = (tuple(sorted(left)), tuple(sorted(entries)))
+        key = (tuple(sorted(left)), _encode(entries))
         groups[key] = groups.get(key, 0) + ways
     return groups
 
@@ -276,8 +283,8 @@ def _tables(rows: tuple, cols: tuple) -> dict:
 
     One loop over the rows holds one layer, {capacities left: {code of the
     entries so far: number of partial matrices}}.  Each row expands every
-    state through its grouped fills (`_first_row`), whose entries join the
-    codes so far by one multiplication, so every matrix is counted exactly
+    state through its grouped fills (`_first_row`), whose entry codes join
+    the codes so far by one multiplication, so every matrix is counted exactly
     once; the rows use up the columns, so the answer is the layer at the
     exhausted state ().
     """
@@ -285,8 +292,7 @@ def _tables(rows: tuple, cols: tuple) -> dict:
     for total in rows:
         grown: dict[tuple, dict[int, int]] = {}
         for left, counts in layer.items():
-            for (kept, entries), ways in _first_row(total, left).items():
-                head = _encode(entries)
+            for (kept, head), ways in _first_row(total, left).items():
                 out = grown.setdefault(kept, {})
                 for code, count in counts.items():
                     key = head * code
@@ -301,15 +307,25 @@ def _decoded(codes: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _pair_product(mu: tuple, nu: tuple) -> dict:
-    """`_basis_product` of the pair in its one order, the lex-larger operand
-    as rows, so that one cache entry serves both orders of a pair and the
-    columns are the smaller capacities, which keep the layers of `_tables`
-    small.  Cached itself, so a product met again is one C-level lookup
-    from `schur_mul`; both orders hold the same dict."""
-    if nu > mu:
-        mu, nu = nu, mu
-    return _basis_product(mu, nu)
+def _products(n: int) -> defaultdict:
+    """The basis products of ambient n met so far, {mu: {nu: [P_mu]*[P_nu]
+    as `_basis_product` gives it}}, filled by `_product`.  `schur_mul` and
+    `leading_term_check` look the table up once per call and then read
+    plain dicts."""
+    return defaultdict(dict)
+
+
+def _product(table: defaultdict, mu: tuple, nu: tuple) -> dict:
+    """[P_mu]*[P_nu] from the `_products` table of their ambient.  A miss
+    is counted by `_basis_product` in the one orientation, the lex-larger
+    operand as rows, so the columns are the smaller capacities, which keep
+    the layers of `_tables` small; the product is stored under both orders
+    of the pair, which hold the same dict."""
+    product = table[mu].get(nu)
+    if product is None:
+        product = _basis_product(mu, nu) if mu >= nu else _basis_product(nu, mu)
+        table[mu][nu] = table[nu][mu] = product
+    return product
 
 
 @lru_cache(maxsize=None)
@@ -319,18 +335,23 @@ def _basis_product(mu: tuple, nu: tuple) -> dict:
     and column sums nu whose nonzero entries sort to gamma, counted by
     `_tables` over the rows of mu.  A transposed table has the same
     entries, so either order gives the same answer; the library calls it
-    through `_pair_product`, which fixes the order."""
+    through `_product`, which fixes the order."""
     return _decoded(_tables(mu, tuple(sorted(nu))))
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     """Bilinear extension of the contingency-table basis product."""
     a._check(b)
+    table = _products(a.base)
     out: dict[Partition, int] = {}
     for mu, ca in a.coeffs.items():
+        row = table[mu]
         for nu, cb in b.coeffs.items():
+            product = row.get(nu)
+            if product is None:
+                product = _product(table, mu, nu)
             c = ca * cb
-            for gamma, mult in _pair_product(mu, nu).items():
+            for gamma, mult in product.items():
                 out[gamma] = out.get(gamma, 0) + c * mult
     return SchurElement._trusted(a.base, out)
 
@@ -518,7 +539,7 @@ def leading_term_check(kappa1, kappa2, n: int, k: int) -> dict:
     tail1 = Partition(kappa1[1:])
     tail2 = Partition(kappa2[1:])
     concat = pad(Partition(sorted(tail1 + tail2, reverse=True)), n)
-    product = _pair_product(tuple(kappa1), tuple(kappa2))
+    product = _product(_products(n), kappa1, kappa2)
     coefficient = product.get(concat, 0)
     violations = []
     for key, c in product.items():

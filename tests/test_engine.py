@@ -544,6 +544,21 @@ def test_burnside_element_rejects_keys_that_are_not_class_keys(key):
         BurnsideElement(group, {key: 1})
 
 
+def test_burnside_element_memoizes_only_accepted_exact_int_keys():
+    # the group's memo answers (0, 1) once it is in; (0.0, 1) equals it and
+    # hashes alike, and is still refused, as a non-class key is
+    group = PermGroup(3, symmetric_group(3).elements)
+    memo = group._record[1]
+    assert BurnsideElement(group, {(0, 1): 2}).coeffs == {(0, 1): 2}
+    assert memo == {(0, 1): (0, 1)}
+    for key in [(0.0, 1), (0, 5)]:
+        message = f"{key} is not the canonical key of a subgroup"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BurnsideElement(group, {key: 1})
+    assert memo == {(0, 1): (0, 1)}
+    assert BurnsideElement(group, {(0, 1): 1}).coeffs == {(0, 1): 1}
+
+
 @pytest.mark.parametrize("key", [(0, 5), (7,), "junk"])
 def test_burnside_element_checks_keys_with_zero_coefficients(key):
     # a zero coefficient is dropped, but only after its key is checked, as

@@ -261,14 +261,17 @@ def test_basis_product_counts_every_contingency_table():
 def test_both_orders_of_a_pair_share_one_cached_product():
     a, b = B((3, 2, 1), 6), B((4, 1, 1), 6)
     _basis_product.cache_clear()
-    schur._pair_product.cache_clear()
+    schur._products.cache_clear()
     assert schur_mul(a, b) == schur_mul(b, a)
     assert leading_term_check((8, 1), (7, 2), 9, 4) == leading_term_check((7, 2), (8, 1), 9, 4) | {
         "kappa1": [8, 1], "kappa2": [7, 2], "degrees": [1, 2]}
+    # one count per pair: the first order's miss fills both orders
     info = _basis_product.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
-    # both orders of the cached entry point return the one product
-    assert schur._pair_product((3, 2, 1), (4, 1, 1)) is schur._pair_product((4, 1, 1), (3, 2, 1))
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
+    # both orders in the ambient's table hold the one product
+    six, nine = schur._products(6), schur._products(9)
+    assert six[(3, 2, 1)][(4, 1, 1)] is six[(4, 1, 1)][(3, 2, 1)]
+    assert nine[(8, 1)][(7, 2)] is nine[(7, 2)][(8, 1)]
 
 
 def row_fills(total, bounds):
@@ -301,7 +304,9 @@ def test_class_fills_group_every_row_fill():
         for nu in enumerate_partitions(n):
             cols = tuple(sorted(nu))
             for total in range(1, n + 1):
-                assert schur._first_row(total, cols) == grouped_row_fills(total, cols), (total, cols)
+                expected = {(left, ring._encode(entries)): count
+                            for (left, entries), count in grouped_row_fills(total, cols).items()}
+                assert schur._first_row(total, cols) == expected, (total, cols)
 
 
 def test_permutation_matrices_are_counted_not_enumerated():
@@ -400,9 +405,9 @@ def test_recursion_reads_lambda_at_smaller_ambients(monkeypatch):
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     caches = (schur.sigma, schur.recursive_lambda, schur.closed_lambda, schur._basis_product,
-              schur._pair_product, schur._first_row, schur._class_fills, schur._points,
-              schur._vanished, schur._basis_key, marks._placements, marks.marks_vector_order,
-              marks._mark_column)
+              schur._products, schur._first_row, schur._class_fills, schur._points,
+              schur._vanished, schur._ambient, marks._placements, marks.marks_vector_order,
+              marks._columns)
 
     def results():
         return (recursive_lambda(6, 6), sigma(7, 4), schur_mul(B((3, 2, 1), 6), B((4, 2), 6)),
@@ -574,16 +579,60 @@ def test_a_key_is_checked_alike_cold_and_after_its_twin_is_memoized(call, twin, 
     assert _key_outcome(call) == expected
     ambient, key = twin
     SchurElement(ambient, {key: 1})
-    assert schur._basis_key.cache_info().currsize
+    # the twin sits in its own ambient's memo
+    assert key in schur._ambient(ambient)[1]
     assert _key_outcome(call) == expected
 
 
-def test_a_repeated_exact_int_key_is_a_cache_hit():
+AMBIENT_CASES = [
+    # (case, the call, its answer: the base's type and value, or the
+    # exception type and message)
+    ("zero", lambda: SchurElement(0), (ValueError, "ambient must be >= 1, got 0")),
+    ("negative", lambda: SchurElement(-1, {(1,): 1}), (ValueError, "ambient must be >= 1, got -1")),
+    ("float", lambda: SchurElement(2.0, {(2,): 1}),
+     (TypeError, "'float' object cannot be interpreted as an integer")),
+    ("float-one", lambda: SchurElement(1.0),
+     (TypeError, "'float' object cannot be interpreted as an integer")),
+    ("unhashable", lambda: SchurElement([2]),
+     (TypeError, "'list' object cannot be interpreted as an integer")),
+    ("bool", lambda: SchurElement(True, {(1,): 1}), (int, 1)),
+]
+
+
+@pytest.mark.parametrize("call, expected", [c[1:] for c in AMBIENT_CASES],
+                         ids=[c[0] for c in AMBIENT_CASES])
+def test_an_ambient_is_checked_alike_cold_and_after_a_record_exists(call, expected):
+    # the ambient's record is a typed cache: 2.0 equals 2 and 1.0 equals
+    # True, each hashing alike, and a refusal is never stored
+    def outcome():
+        try:
+            base = call().base
+        except (TypeError, ValueError) as exc:
+            assert exc.__context__ is None
+            return type(exc), str(exc)
+        return type(base), base
+
+    burnside.clear_caches()
+    assert outcome() == expected
+    SchurElement(2, {(2,): 1})
+    SchurElement(True)
+    assert outcome() == expected
+
+
+def test_a_repeated_exact_int_key_is_a_cache_hit(monkeypatch):
     burnside.clear_caches()
     SchurElement(3, {(2, 1): 1})
-    hits = schur._basis_key.cache_info().hits
+    checked = []
+    check = SchurElement._key
+
+    def counting(ambient, key):
+        checked.append(key)
+        return check(ambient, key)
+
+    monkeypatch.setattr(SchurElement, "_key", staticmethod(counting))
     x = SchurElement(3, {(2, 1): 2, Partition((1, 1, 1)): 1})
-    assert schur._basis_key.cache_info().hits == hits + 1
+    # the memoized key is read from the memo; only the new key is checked
+    assert checked == [(1, 1, 1)]
     assert x.coeffs == {(2, 1): 2, (1, 1, 1): 1}
 
 
